@@ -68,6 +68,8 @@ PpdController::PpdController(const CompiledProgram &Prog, PagedLog PagedIn,
       Service(Prog, this->Log, Index, withPaged(Options.Service, Paged)),
       Builder(Prog, Graph), ParGraph(std::move(Options.AdoptedGraph)) {
   assert(Paged && "paged controller needs both a store and a pool");
+  if (!Index.ok())
+    LogError = "log is corrupt: a process section fails to skim";
 }
 
 void PpdController::syncServiceStats() {
@@ -86,8 +88,14 @@ const BuiltFragment *
 PpdController::addFragment(uint32_t Pid, uint32_t IntervalIdx,
                            ParallelReplayer::ReplayPtr Replay) {
   syncServiceStats();
-  if (!Replay->Ok)
+  if (!Replay->Ok) {
+    // A faithful replay fails only on a corrupt log (or a PPD bug):
+    // answers that need this interval cannot be trusted.
+    if (LogError.empty())
+      LogError = "replay of p" + std::to_string(Pid) + " interval " +
+                 std::to_string(IntervalIdx) + " failed: " + Replay->Error;
     return nullptr;
+  }
   Stats.EventsTraced += Replay->Events.Events.size();
   Stats.TraceBytes += Replay->Events.byteSize();
 
@@ -323,6 +331,19 @@ DynNodeId PpdController::materializeWriter(EdgeRef Producer, VarId Var,
   return Best;
 }
 
+const ProcessLog *PpdController::pinProcess(uint32_t Pid,
+                                            BufferPool::Pin &Pin) {
+  if (!Paged)
+    return &Log.Procs[Pid];
+  Pin = Paged.Pool->pin(*Paged.Store, Pid);
+  if (Pin)
+    return &Pin.log();
+  if (LogError.empty())
+    LogError = "log is corrupt: the section of p" + std::to_string(Pid) +
+               " fails to decode";
+  return nullptr;
+}
+
 uint32_t PpdController::recordEnd(uint32_t Pid) const {
   if (Paged)
     return uint32_t(Paged.Store->section(Pid).NumRecords);
@@ -332,24 +353,32 @@ uint32_t PpdController::recordEnd(uint32_t Pid) const {
 const ParallelDynamicGraph &PpdController::parallelGraph() {
   if (ParGraph)
     return *ParGraph;
-  if (Paged) {
-    // Incremental build, pinning one section at a time: peak memory is
-    // the largest single section (plus whatever else the pool caches),
-    // never the whole log. The result is identical to the whole-log
-    // constructor's.
-    auto PG = std::make_unique<ParallelDynamicGraph>(
-        Prog.Symbols->NumSharedVars, uint32_t(Paged.Store->numProcs()));
-    for (uint32_t Pid = 0; Pid != Paged.Store->numProcs(); ++Pid) {
-      BufferPool::Pin Pin = Paged.Pool->pin(*Paged.Store, Pid);
-      if (Pin)
-        PG->addProcess(Pid, Pin.log());
-    }
-    PG->finalize();
-    ParGraph = std::move(PG);
-  } else {
-    ParGraph = std::make_unique<ParallelDynamicGraph>(
-        Log, Prog.Symbols->NumSharedVars);
+  // One process at a time: in paged mode each section is pinned only
+  // while its sync records are collected, so peak memory is the largest
+  // single section (plus whatever else the pool caches), never the whole
+  // log.
+  uint32_t NumProcs = uint32_t(Log.Procs.size());
+  auto PG = std::make_shared<ParallelDynamicGraph>(
+      Prog.Symbols->NumSharedVars, NumProcs);
+  bool Sound = true;
+  for (uint32_t Pid = 0; Sound && Pid != NumProcs; ++Pid) {
+    BufferPool::Pin Pin;
+    const ProcessLog *PL = pinProcess(Pid, Pin);
+    Sound = PL != nullptr;
+    if (Sound)
+      PG->addProcess(Pid, *PL);
   }
+  if (!Sound || !PG->finalize()) {
+    // An empty graph answers every query safely; logError() says why the
+    // answers are void.
+    if (LogError.empty())
+      LogError = "log is corrupt: its synchronization records are "
+                 "inconsistent";
+    PG = std::make_shared<ParallelDynamicGraph>(Prog.Symbols->NumSharedVars,
+                                                NumProcs);
+    PG->finalize();
+  }
+  ParGraph = std::move(PG);
   return *ParGraph;
 }
 
@@ -362,6 +391,8 @@ RaceDetectionResult PpdController::detectRaces(RaceAlgorithm Algorithm) {
 }
 
 DynNodeId PpdController::expandCall(DynNodeId SubGraphNode) {
+  if (SubGraphNode >= Graph.numNodes())
+    return InvalidId;
   // Copy the coordinates: ensureInterval below adds nodes, which can
   // reallocate the graph's node storage and invalidate references.
   const uint32_t Pid = Graph.node(SubGraphNode).Pid;
@@ -462,7 +493,7 @@ PpdController::whatIf(uint32_t Pid, uint32_t IntervalIdx,
 }
 
 RestoredState PpdController::restoreGlobals(uint32_t Pid,
-                                            uint32_t UptoInterval) const {
+                                            uint32_t UptoInterval) {
   RestoredState State;
   State.Shared.assign(Prog.Symbols->SharedMemorySize, 0);
   State.PrivateGlobals.assign(Prog.Symbols->PrivateGlobalSize, 0);
@@ -485,18 +516,23 @@ RestoredState PpdController::restoreGlobals(uint32_t Pid,
   // values read from other processes.) In paged mode the walk pins the
   // process's section for its duration; the facade log has no records.
   BufferPool::Pin Pin;
-  const RecordSeq *Records = &Log.Procs[Pid].Records;
-  if (Paged) {
-    Pin = Paged.Pool->pin(*Paged.Store, Pid);
-    if (!Pin)
-      return State;
-    Records = &Pin.log().Records;
-  }
-  for (uint32_t Idx = 0; Idx <= EndRecord && Idx < Records->size(); ++Idx) {
-    const LogRecord &R = (*Records)[Idx];
+  const ProcessLog *PL = pinProcess(Pid, Pin);
+  if (!PL)
+    return State;
+  const RecordSeq &Records = PL->Records;
+  for (uint32_t Idx = 0; Idx <= EndRecord && Idx < Records.size(); ++Idx) {
+    const LogRecord &R = Records[Idx];
     if (R.Kind != LogRecordKind::Postlog && R.Kind != LogRecordKind::UnitLog)
       continue;
     for (const VarValue &V : R.Vars) {
+      // Replay applies the same check to the values it restores.
+      if (V.Var >= Prog.Symbols->numVars() ||
+          V.Values.size() != Prog.Symbols->var(V.Var).slotCount()) {
+        if (LogError.empty())
+          LogError = "log is corrupt: a record of p" + std::to_string(Pid) +
+                     " captures a variable the program lacks";
+        return State;
+      }
       const VarInfo &Info = Prog.Symbols->var(V.Var);
       if (Info.Kind == VarKind::SharedGlobal)
         std::copy(V.Values.begin(), V.Values.end(),

@@ -117,6 +117,12 @@ public:
   const DynamicGraph &graph() const { return Graph; }
   const ControllerStats &stats() const { return Stats; }
 
+  /// Why this session's answers are void, or empty while the log is
+  /// sound. Set — once, by the first failure — when a section fails to
+  /// skim or decode, the sync records fail the parallel dynamic graph's
+  /// checks, or a faithful replay fails (a corrupt log or a PPD bug).
+  const std::string &logError() const { return LogError; }
+
   /// Replays interval \p IntervalIdx of \p Pid (through the replay
   /// cache) and splices its fragment into the graph. Returns null on
   /// replay divergence.
@@ -188,7 +194,7 @@ public:
 
   /// §5.7 restoration: global state as of process \p Pid's postlog of
   /// interval \p UptoInterval, from accumulated postlogs.
-  RestoredState restoreGlobals(uint32_t Pid, uint32_t UptoInterval) const;
+  RestoredState restoreGlobals(uint32_t Pid, uint32_t UptoInterval);
 
 private:
   struct CacheEntry {
@@ -201,6 +207,11 @@ private:
   /// Comes from the section header in paged mode (the facade log has no
   /// records) and from the loaded records otherwise.
   uint32_t recordEnd(uint32_t Pid) const;
+
+  /// Process \p Pid's records: the loaded log's, or — in paged mode —
+  /// the section faulted in and held by \p Pin. Null (with logError()
+  /// set) when the section fails to decode.
+  const ProcessLog *pinProcess(uint32_t Pid, BufferPool::Pin &Pin);
 
   CrossReadResolution resolveCrossRead(uint32_t ReaderPid,
                                        const UnresolvedRead &Read);
@@ -227,6 +238,7 @@ private:
   std::map<std::pair<uint32_t, uint32_t>, CacheEntry> Cache;
   std::shared_ptr<const ParallelDynamicGraph> ParGraph;
   ControllerStats Stats;
+  std::string LogError;
 };
 
 } // namespace ppd

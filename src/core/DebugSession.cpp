@@ -13,7 +13,7 @@
 using namespace ppd;
 
 static std::string lineOf(const CompiledProgram &Prog, StmtId Stmt) {
-  if (Stmt == InvalidId)
+  if (Stmt >= Prog.Ast->numStmts())
     return "";
   return " (line " +
          std::to_string(Prog.Ast->stmt(Stmt)->getLoc().Line) + ")";
@@ -176,6 +176,14 @@ std::string DebugSession::cmdStats() {
 }
 
 std::string DebugSession::execute(const std::string &Line) {
+  std::string Out = dispatch(Line);
+  // A corrupt log voids whatever the command computed from it.
+  if (!Controller.logError().empty())
+    return "error: " + Controller.logError() + "\n";
+  return Out;
+}
+
+std::string DebugSession::dispatch(const std::string &Line) {
   std::stringstream Args(Line);
   std::string Cmd;
   Args >> Cmd;

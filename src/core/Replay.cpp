@@ -114,13 +114,30 @@ private:
     return nullptr;
   }
 
-  void restoreVars(const LogRecord &R) {
-    for (const VarValue &V : R.Vars)
-      writeVarWhole(V.Var, V.Values);
+  /// The variable a logged value list restores. Only a corrupt log names
+  /// a variable the program lacks or carries the wrong number of values;
+  /// that fails the replay and returns null.
+  const VarInfo *capturedVar(const VarValue &V) {
+    if (V.Var < Prog.Symbols->numVars()) {
+      const VarInfo &Info = Prog.Symbols->var(V.Var);
+      if (V.Values.size() == Info.slotCount())
+        return &Info;
+    }
+    Result.Error = "log record captures a variable the program lacks";
+    finish(false);
+    return nullptr;
   }
 
-  void writeVarWhole(VarId Var, const SmallVec<int64_t, 2> &Values) {
-    const VarInfo &Info = Prog.Symbols->var(Var);
+  void restoreVars(const LogRecord &R) {
+    for (const VarValue &V : R.Vars) {
+      const VarInfo *Info = capturedVar(V);
+      if (!Info)
+        return;
+      writeVarWhole(*Info, V.Values);
+    }
+  }
+
+  void writeVarWhole(const VarInfo &Info, const SmallVec<int64_t, 2> &Values) {
     int64_t *Base = baseOf(Info);
     if (!Base)
       return;
@@ -148,10 +165,11 @@ private:
   /// interval's postlog.
   void applyPostlogGlobals(const LogRecord &R) {
     for (const VarValue &V : R.Vars) {
-      const VarInfo &Info = Prog.Symbols->var(V.Var);
-      if (!Info.isGlobal())
-        continue;
-      writeVarWhole(V.Var, V.Values);
+      const VarInfo *Info = capturedVar(V);
+      if (!Info)
+        return;
+      if (Info->isGlobal())
+        writeVarWhole(*Info, V.Values);
     }
   }
 
@@ -299,6 +317,8 @@ void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
         // A directly nested interval completed: its effects on globals
         // become visible to the caller.
         applyPostlogGlobals(R);
+        if (Done)
+          return;
         if (R.Flags & PostlogExitsFunction) {
           RetVal = R.Value;
           SawExit = true;
@@ -423,10 +443,12 @@ Replayer::StepOutcome Replayer::doPostlog(uint32_t EBlockId, uint32_t Flags) {
   if (!WhatIf) {
     if (const LogRecord *R = consume(LogRecordKind::Postlog)) {
       for (const VarValue &V : R->Vars) {
-        const VarInfo &Info = Prog.Symbols->var(V.Var);
-        if (Info.isShared())
+        const VarInfo *Info = capturedVar(V);
+        if (!Info)
+          return StepOutcome::Stop;
+        if (Info->isShared())
           continue;
-        const int64_t *Base = baseOf(Info);
+        const int64_t *Base = baseOf(*Info);
         if (!Base)
           continue;
         for (size_t K = 0; K != V.Values.size(); ++K)
@@ -1280,6 +1302,10 @@ uint64_t Replayer::runJit(uint64_t &NativeEntries) {
 ReplayResult Replayer::run() {
   WhatIf = !Options.Overrides.empty();
 
+  if (Interval.EBlock >= Prog.EBlocks.size()) {
+    Result.Error = "log names an e-block the program lacks";
+    return Result;
+  }
   const EBlockInfo &EBlock = Prog.eblock(Interval.EBlock);
   RootFunc = EBlock.Func;
 

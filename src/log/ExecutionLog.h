@@ -32,11 +32,11 @@ namespace ppd {
 class PageStore;
 class ThreadPool;
 
-/// On-disk format versions. V1 is the original fixed-width stream; V2 is
-/// the compact encoding (varints, delta-coded sequence numbers,
-/// length-prefixed per-process sections that decode in parallel). See
-/// DESIGN.md §6 "Log file format v2" for the layout.
-enum class LogFormat : uint32_t { V1 = 1, V2 = 2 };
+/// The on-disk format version the file header carries: the compact
+/// encoding (varints, delta-coded sequence numbers, length-prefixed
+/// per-process sections that decode in parallel). See DESIGN.md §6 "Log
+/// file format v2" for the layout.
+enum class LogFormat : uint32_t { V2 = 2 };
 
 /// One observable output line: `print(e)` by process Pid.
 struct OutputRecord {
@@ -62,35 +62,22 @@ public:
   /// Total approximate log volume in bytes (experiment E2).
   size_t byteSize() const;
 
-  /// Serializes to a binary file (compact v2 by default; v1 kept for
-  /// migration). With \p Pool, v2 process sections are serialized in
-  /// parallel; the bytes written are identical to a serial save. Returns
-  /// false on I/O errors.
+  /// Serializes to a binary file. With \p Pool, process sections are
+  /// serialized in parallel; the bytes written are identical to a serial
+  /// save. Returns false on I/O errors.
   bool save(const std::string &Path, LogFormat Format = LogFormat::V2,
             ThreadPool *Pool = nullptr) const;
 
-  /// Reads either format back, auto-detected from the header. On any I/O
-  /// or format error (including truncation at every byte offset) returns
-  /// false and leaves \p Out untouched. With \p Pool, v2 process sections
-  /// are decoded in parallel; the result is bit-identical to a serial
-  /// load.
+  /// Reads a saved log back whole. On any I/O or format error (another
+  /// version, truncation at any byte offset, prelog/postlog records that
+  /// do not nest) returns false and leaves \p Out untouched. With \p Pool,
+  /// process sections are decoded in parallel; the result is
+  /// bit-identical to a serial load. The debugger opens files through
+  /// PageStore instead; this whole-file reader is the independent oracle
+  /// paged sessions are checked against.
   static bool load(const std::string &Path, ExecutionLog &Out,
                    ThreadPool *Pool = nullptr);
 };
-
-/// Outcome of a `ppd compact` in-place migration.
-enum class CompactResult {
-  Converted, ///< file was v1 and is now v2.
-  AlreadyV2, ///< nothing to do.
-  Error,     ///< open/decode/write failure; original file left untouched.
-};
-
-/// Rewrites a v1 log file as v2 in place, streaming one process section at
-/// a time (peak memory is one section, never the whole log). The original
-/// file is replaced only after the converted bytes are fully flushed; on
-/// any error it is left untouched. \p Message carries the human-readable
-/// reason for AlreadyV2/Error outcomes.
-CompactResult compactLogFile(const std::string &Path, std::string &Message);
 
 /// One dynamic log interval I_i (the execution of one e-block).
 struct LogInterval {
@@ -116,8 +103,8 @@ public:
   /// Derives the interval structure straight from a paged store's encoded
   /// sections (v2::skimSection): record bodies are never materialized, so
   /// index-only opens cost interval vectors, not decoded logs. Implemented
-  /// in PageStore.cpp. Aborts on sections the store already validated, so
-  /// it cannot fail for a successfully opened store.
+  /// in PageStore.cpp. A section whose record stream fails to skim gets
+  /// no intervals and clears ok().
   explicit LogIndex(const PageStore &Store, ThreadPool *Pool = nullptr);
 
   /// Adopts pre-built interval tables (the `.ppdb` sidecar's persisted
@@ -127,6 +114,10 @@ public:
       : Intervals(std::move(Intervals)), OpenIntervals(std::move(Open)) {}
 
   size_t numProcs() const { return Intervals.size(); }
+
+  /// False when a section failed to skim (corrupt record bytes); callers
+  /// opening a log file reject it.
+  bool ok() const { return Ok; }
 
   const std::vector<LogInterval> &intervals(uint32_t Pid) const {
     return Intervals[Pid];
@@ -165,6 +156,7 @@ public:
 private:
   std::vector<std::vector<LogInterval>> Intervals;
   std::vector<std::vector<uint32_t>> OpenIntervals; ///< never closed, per pid.
+  bool Ok = true;
 };
 
 } // namespace ppd

@@ -13,9 +13,7 @@
 ///   * PageStore — the paged storage layer, which decodes one process
 ///     section at a time on buffer-pool fault-in and *skims* sections
 ///     (record kinds and interval structure only, no body
-///     materialization) for index-only opens;
-///   * compactLogFile — the streaming v1→v2 migration, which re-encodes
-///     one section at a time.
+///     materialization) for index-only opens.
 ///
 /// Everything here is an internal interface of src/log: the layout is
 /// documented in DESIGN.md §6 and changes only with a format-version
@@ -63,7 +61,8 @@ bool readSectionHeader(ByteReader &R, SectionHeader &Out);
 
 /// Decodes one whole v2 process section into \p P. Thread-safe: touches
 /// only its own section's bytes and its own ProcessLog. Validates the
-/// header's prelog count against the decoded records.
+/// header's prelog count against the decoded records and, like
+/// skimSection, that prelog/postlog records nest.
 bool decodeSection(ByteReader R, ProcessLog &P);
 
 /// Skims one v2 process section: walks the record stream reading only the

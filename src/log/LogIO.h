@@ -16,8 +16,7 @@
 ///     the same three codecs. Sub-spans let the v2 loader hand each
 ///     process section to a different thread.
 ///
-/// Multi-byte fixed-width values use the host's (little-endian) layout,
-/// matching the v1 files written by fwrite-of-struct-fields.
+/// Multi-byte fixed-width values use the host's (little-endian) layout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,8 +70,7 @@ inline int64_t zigzagDecode(uint64_t V) {
 /// Buffered serialization sink. A raw tail-pointer buffer rather than a
 /// std::vector of bytes: the save path emits hundreds of thousands of
 /// one-byte varint pieces, and a single capacity check per field (not per
-/// byte) is what keeps compact-format saves faster than v1's fixed-width
-/// stream.
+/// byte) keeps that cheap.
 class LogWriter {
 public:
   LogWriter() = default;

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -26,26 +25,6 @@ using namespace ppd;
 namespace {
 
 std::atomic<uint64_t> NextStoreId{1};
-
-/// Same shape as the loader's helper: fan Fn across the pool when one is
-/// available, degrade to a serial loop otherwise.
-template <typename FnT>
-void parallelFor(ThreadPool *Pool, size_t N, const FnT &Fn) {
-  if (!Pool || Pool->numThreads() == 0 || N < 2) {
-    for (size_t I = 0; I != N; ++I)
-      Fn(I);
-    return;
-  }
-  std::atomic<size_t> Done{0};
-  for (size_t I = 0; I != N; ++I)
-    Pool->submit([&, I] {
-      Fn(I);
-      Done.fetch_add(1, std::memory_order_acq_rel);
-    });
-  while (Done.load(std::memory_order_acquire) != N)
-    if (!Pool->runOneTask())
-      std::this_thread::yield();
-}
 
 void setError(std::string *Error, std::string Why) {
   if (Error)
@@ -113,15 +92,10 @@ std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
     return nullptr;
   }
   uint32_t Version = R.u32();
-  if (Version == uint32_t(LogFormat::V1)) {
-    setError(Error, "'" + Path +
-                        "' is a v1 log; run `ppd compact " + Path +
-                        "` to migrate it to the paged v2 format");
-    return nullptr;
-  }
   if (Version != uint32_t(LogFormat::V2)) {
-    setError(Error, "'" + Path + "' has unknown format version " +
-                        std::to_string(Version));
+    setError(Error, "'" + Path + "' has unsupported format version " +
+                        std::to_string(Version) + " (expected " +
+                        std::to_string(uint32_t(LogFormat::V2)) + ")");
     return nullptr;
   }
 
@@ -196,12 +170,15 @@ LogIndex::LogIndex(const PageStore &Store, ThreadPool *Pool) {
   size_t NumProcs = Store.numProcs();
   Intervals.resize(NumProcs);
   OpenIntervals.resize(NumProcs);
+  std::atomic<bool> AllOk{true};
   parallelFor(Pool, NumProcs, [&](size_t Pid) {
-    bool Ok = Store.skimIndex(uint32_t(Pid), Intervals[Pid],
-                              OpenIntervals[Pid]);
-    // open() validated extents and headers; a skim can only fail on
-    // corrupt record bytes, which decode would also reject.
-    assert(Ok && "skim failed on a validated store");
-    (void)Ok;
+    // open() validated extents and headers, not record bytes: a corrupt
+    // record stream leaves its process without intervals.
+    if (!Store.skimIndex(uint32_t(Pid), Intervals[Pid], OpenIntervals[Pid])) {
+      Intervals[Pid].clear();
+      OpenIntervals[Pid].clear();
+      AllOk.store(false, std::memory_order_relaxed);
+    }
   });
+  Ok = AllOk.load();
 }

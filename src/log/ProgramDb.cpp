@@ -11,7 +11,6 @@
 #include "log/PageStore.h"
 #include "pardyn/ParallelDynamicGraph.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace ppd;
@@ -218,7 +217,8 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
         return false;
       Built->addProcess(Pid, PL);
     }
-    Built->finalize();
+    if (!Built->finalize())
+      return false;
     Graph = Built.get();
   }
   for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid) {
@@ -400,19 +400,14 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
       if (Idx >= Intervals[Pid].size())
         return ProgramDbStatus::Corrupt;
   }
-  // The persisted parallel dynamic graph. Bounds are enforced here —
-  // kind range, record index inside the section, shared ids inside the
-  // program's shared segment, partner seqs resolvable and strictly
-  // earlier in the global order — so finalize() can never index out of
-  // range on hostile bytes (its clock pass walks nodes in seq order and
-  // dereferences partners unconditionally).
+  // The persisted parallel dynamic graph. Bounds that need the log or
+  // the program are enforced here — record index inside the section,
+  // shared ids inside the program's shared segment; finalize() checks
+  // the rows' seqs, partners and kinds, as it does for graphs built from
+  // log records.
   uint32_t NumShared = Prog.Symbols->NumSharedVars;
-  uint64_t TotalRecords = 0;
-  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
-    TotalRecords += Store.section(Pid).NumRecords;
   std::vector<std::vector<SyncNode>> GNodes(Store.numProcs());
   std::vector<std::vector<InternalEdge>> GEdges(Store.numProcs());
-  std::vector<uint64_t> Seqs;
   for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid) {
     uint64_t NumRecords = Store.section(Pid).NumRecords;
     uint64_t NumNodes = R.varint();
@@ -421,23 +416,15 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
     GNodes[Pid].resize(NumNodes);
     for (uint64_t I = 0; I != NumNodes; ++I) {
       SyncNode &N = GNodes[Pid][I];
-      uint8_t Kind = R.u8();
-      N.Kind = SyncKind(Kind);
+      N.Kind = SyncKind(R.u8());
       N.Object = uint32_t(R.varint());
       N.Seq = R.varint();
       uint64_t Partner = R.varint();
       N.PartnerSeq = Partner == 0 ? NoPartner : Partner - 1;
       N.Stmt = idDecode(R.varint());
       N.RecordIdx = uint32_t(R.varint());
-      if (!R.ok())
+      if (!R.ok() || N.RecordIdx >= NumRecords)
         return ProgramDbStatus::Corrupt;
-      // Seq numbers a sync event, and every sync event is a record, so
-      // TotalRecords bounds any honest value (the BySeq table finalize()
-      // allocates is MaxSeq+1 entries — this check also caps it).
-      if (Kind > uint8_t(SyncKind::Stopped) || N.RecordIdx >= NumRecords ||
-          N.Seq > TotalRecords)
-        return ProgramDbStatus::Corrupt;
-      Seqs.push_back(N.Seq);
     }
     if (NumNodes != 0)
       GEdges[Pid].resize(NumNodes - 1);
@@ -463,27 +450,17 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
       }
     }
   }
-  std::sort(Seqs.begin(), Seqs.end());
-  if (std::adjacent_find(Seqs.begin(), Seqs.end()) != Seqs.end())
-    return ProgramDbStatus::Corrupt;
-  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
-    for (const SyncNode &N : GNodes[Pid])
-      if (N.PartnerSeq != NoPartner &&
-          (N.PartnerSeq >= N.Seq ||
-           !std::binary_search(Seqs.begin(), Seqs.end(), N.PartnerSeq)))
-        return ProgramDbStatus::Corrupt;
-
   if (!R.ok() || !R.atEnd())
     return ProgramDbStatus::Corrupt;
 
-  if (GraphOut) {
-    auto PG = std::make_shared<ParallelDynamicGraph>(NumShared,
-                                                     Store.numProcs());
-    for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
-      PG->adoptProcess(Pid, std::move(GNodes[Pid]), std::move(GEdges[Pid]));
-    PG->finalize();
+  auto PG = std::make_shared<ParallelDynamicGraph>(NumShared,
+                                                   Store.numProcs());
+  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
+    PG->adoptProcess(Pid, std::move(GNodes[Pid]), std::move(GEdges[Pid]));
+  if (!PG->finalize())
+    return ProgramDbStatus::Corrupt;
+  if (GraphOut)
     *GraphOut = std::move(PG);
-  }
   IndexOut = std::make_shared<const LogIndex>(std::move(Intervals),
                                               std::move(Open));
   return ProgramDbStatus::Ok;

@@ -20,8 +20,7 @@
 /// edge rows (§6 — constructing it is the one remaining operation that
 /// scans every process's records, so persisting it is what makes a warm
 /// open's cost independent of log size). On a warm open, the paged
-/// debug path skips the whole-log decode, the index build/skim, *and*
-/// the graph construction — open cost becomes "read sidecar, validate,
+/// debug path skips the index skim *and* the graph construction — open cost becomes "read sidecar, validate,
 /// go", and the first query faults in only the sections it replays.
 ///
 /// The codec reuses the bounds-checked LogIO primitives, so a truncated

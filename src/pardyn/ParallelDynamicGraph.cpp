@@ -33,35 +33,7 @@ ParallelDynamicGraph::ParallelDynamicGraph(const ExecutionLog &Log,
 void ParallelDynamicGraph::addProcess(uint32_t Pid, const ProcessLog &PL) {
   assert(Pid < Nodes.size() && "pid out of range");
   assert(Nodes[Pid].empty() && "process added twice");
-  // Collect the process's sync nodes and internal edges.
-  for (uint32_t Idx = 0; Idx != PL.Records.size(); ++Idx) {
-    const LogRecord &R = PL.Records[Idx];
-    if (R.Kind != LogRecordKind::SyncEvent)
-      continue;
-    SyncNode N;
-    N.Kind = R.Sync;
-    N.Object = R.Id;
-    N.Seq = R.Seq;
-    N.PartnerSeq = R.PartnerSeq;
-    N.Stmt = R.Stmt;
-    N.RecordIdx = Idx;
-
-    if (!Nodes[Pid].empty()) {
-      InternalEdge E;
-      E.Pid = Pid;
-      E.EndNode = uint32_t(Nodes[Pid].size());
-      // Pre-size to the shared segment so the insert loops never
-      // reallocate (ids are SharedIndex values, bounded by NumShared).
-      E.Reads.reserveFor(NumShared);
-      E.Writes.reserveFor(NumShared);
-      for (uint32_t S : R.ReadSet)
-        E.Reads.insert(S);
-      for (uint32_t S : R.WriteSet)
-        E.Writes.insert(S);
-      Edges[Pid].push_back(std::move(E));
-    }
-    Nodes[Pid].push_back(std::move(N));
-  }
+  appendProcess(Pid, PL, 0);
 }
 
 void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
@@ -71,6 +43,7 @@ void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
     Nodes.emplace_back();
     Edges.emplace_back();
   }
+  // Collect the process's sync nodes and internal edges.
   for (uint32_t Idx = FromRecord; Idx < PL.Records.size(); ++Idx) {
     const LogRecord &R = PL.Records[Idx];
     if (R.Kind != LogRecordKind::SyncEvent)
@@ -87,12 +60,21 @@ void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
       InternalEdge E;
       E.Pid = Pid;
       E.EndNode = uint32_t(Nodes[Pid].size());
+      // Pre-size to the shared segment so the insert loops never
+      // reallocate. Ids outside it come only from corrupt logs: they are
+      // dropped, and finalize() rejects the graph.
       E.Reads.reserveFor(NumShared);
       E.Writes.reserveFor(NumShared);
       for (uint32_t S : R.ReadSet)
-        E.Reads.insert(S);
+        if (S < NumShared)
+          E.Reads.insert(S);
+        else
+          Sound = false;
       for (uint32_t S : R.WriteSet)
-        E.Writes.insert(S);
+        if (S < NumShared)
+          E.Writes.insert(S);
+        else
+          Sound = false;
       Edges[Pid].push_back(std::move(E));
     }
     Nodes[Pid].push_back(std::move(N));
@@ -111,26 +93,41 @@ void ParallelDynamicGraph::adoptProcess(uint32_t Pid,
   Edges[Pid] = std::move(ProcEdges);
 }
 
-void ParallelDynamicGraph::finalize() {
-  // Seq lookup table.
-  uint64_t MaxSeq = 0;
+bool ParallelDynamicGraph::finalize() {
+  // Seq lookup table. The machine numbers sync events densely from 0, so
+  // a sound graph's seqs are exactly [0, node count): checking each node
+  // in O(1) here bounds the table and guarantees that every predecessor
+  // (a partner, the process's previous node) has a smaller seq.
+  size_t NumNodes = 0;
   for (const std::vector<SyncNode> &ProcNodes : Nodes)
-    for (const SyncNode &N : ProcNodes)
-      MaxSeq = std::max(MaxSeq, N.Seq);
-  BySeq.assign(size_t(MaxSeq) + 1, SyncNodeRef());
+    NumNodes += ProcNodes.size();
+  BySeq.assign(NumNodes, SyncNodeRef());
+  auto Reject = [this] {
+    for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid) {
+      Nodes[Pid].clear();
+      Edges[Pid].clear();
+    }
+    BySeq.clear();
+    FinalizeWatermark = 0;
+    return false;
+  };
+  if (!Sound)
+    return Reject();
   for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
-    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx)
-      BySeq[Nodes[Pid][Idx].Seq] = {Pid, Idx};
+    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx) {
+      const SyncNode &N = Nodes[Pid][Idx];
+      if (N.Kind > SyncKind::Stopped || N.Seq >= NumNodes ||
+          BySeq[N.Seq].valid() ||
+          (Idx > 0 && N.Seq <= Nodes[Pid][Idx - 1].Seq) ||
+          (N.PartnerSeq != NoPartner && N.PartnerSeq >= N.Seq))
+        return Reject();
+      BySeq[N.Seq] = {Pid, Idx};
+    }
 
   // Vector clocks, processed in global seq order — a topological order of
   // the graph, since every synchronization edge goes from a lower to a
   // higher sequence number.
-  std::vector<SyncNodeRef> Order;
-  for (const SyncNodeRef &Ref : BySeq)
-    if (Ref.valid())
-      Order.push_back(Ref);
-
-  for (const SyncNodeRef &Ref : Order) {
+  for (const SyncNodeRef &Ref : BySeq) {
     SyncNode &N = Nodes[Ref.Pid][Ref.Index];
     N.Clock.assign(Nodes.size(), 0);
     if (Ref.Index > 0) {
@@ -138,16 +135,14 @@ void ParallelDynamicGraph::finalize() {
       N.Clock = Prev.Clock;
     }
     if (N.PartnerSeq != NoPartner) {
-      assert(N.PartnerSeq < BySeq.size() && BySeq[N.PartnerSeq].valid() &&
-             "dangling partner sequence");
       const SyncNode &Partner = node(BySeq[N.PartnerSeq]);
-      assert(!Partner.Clock.empty() && "partner processed after dependent");
       for (size_t I = 0; I != N.Clock.size(); ++I)
         N.Clock[I] = std::max(N.Clock[I], Partner.Clock[I]);
     }
     N.Clock[Ref.Pid] = Ref.Index + 1;
   }
   FinalizeWatermark = BySeq.size();
+  return true;
 }
 
 void ParallelDynamicGraph::finalizeTail() {
@@ -339,7 +334,7 @@ std::string ParallelDynamicGraph::dot(const Program &P) const {
     for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx) {
       const SyncNode &N = Nodes[Pid][Idx];
       std::string Label = syncKindName(N.Kind);
-      if (N.Stmt != InvalidId)
+      if (N.Stmt < P.numStmts())
         Label += "\n" + AstPrinter::summarize(*P.stmt(N.Stmt));
       W.node(NodeId(Pid, Idx), Label, {"shape=circle"});
       if (Idx > 0) {

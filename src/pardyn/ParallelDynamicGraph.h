@@ -87,17 +87,28 @@ public:
   /// records at a time (the paged controller pins sections through a
   /// buffer pool and never holds the whole log): construct with the
   /// process count, addProcess() each section in any order, finalize()
-  /// once. The finished graph is identical to the whole-log constructor's.
+  /// once. The finished graph is identical to the ExecutionLog
+  /// constructor's.
   ParallelDynamicGraph(unsigned NumSharedVars, uint32_t NumProcs);
   void addProcess(uint32_t Pid, const ProcessLog &PL);
-  void finalize();
+
+  /// Builds the seq lookup and the vector clocks. The sync records come
+  /// from an untrusted log (or `.ppdb` sidecar), so this is also their
+  /// one consistency check, O(1) per node: seqs unique and below the node
+  /// count (the machine numbers sync events densely), increasing within
+  /// each process, every partner earlier than its dependent, sync kinds
+  /// and READ/WRITE ids in range. On a violation it empties every
+  /// process — an empty graph is safe to query — and returns false. The
+  /// ExecutionLog constructor does the same; callers that must tell the
+  /// two apart build incrementally.
+  bool finalize();
 
   /// Deserialization path (the `.ppdb` sidecar persists the graph so a
   /// warm open never scans record streams): install one process's
   /// pre-extracted node and edge rows verbatim, then finalize() once.
   /// Rows carry only what addProcess reads from sync records — Clock and
-  /// the seq lookup are recomputed by finalize(). Edge i must end at
-  /// node i+1, the invariant addProcess establishes.
+  /// the seq lookup are recomputed (and the rows checked) by finalize().
+  /// Edge i must end at node i+1, the invariant addProcess establishes.
   void adoptProcess(uint32_t Pid, std::vector<SyncNode> ProcNodes,
                     std::vector<InternalEdge> ProcEdges);
 
@@ -187,6 +198,9 @@ private:
   /// First BySeq slot not yet clock-finalized; finalizeTail() resumes
   /// here. Every batch finalize() leaves it at BySeq.size().
   uint64_t FinalizeWatermark = 0;
+  /// Cleared by appendProcess on a READ/WRITE id outside the shared
+  /// segment; finalize() then rejects the graph.
+  bool Sound = true;
 };
 
 } // namespace ppd

@@ -357,12 +357,12 @@ std::string RaceDetector::describe(const Race &R, const Program &P) const {
   Out += Symbols.var(R.Var).Name;
   Out += "' between process " + std::to_string(R.First.Pid);
   const SyncNode &N1 = Graph.node({R.First.Pid, R.First.EndNode});
-  if (N1.Stmt != InvalidId)
+  if (N1.Stmt < P.numStmts())
     Out += " (edge ending at " + AstPrinter::summarize(*P.stmt(N1.Stmt)) +
            ")";
   Out += " and process " + std::to_string(R.Second.Pid);
   const SyncNode &N2 = Graph.node({R.Second.Pid, R.Second.EndNode});
-  if (N2.Stmt != InvalidId)
+  if (N2.Stmt < P.numStmts())
     Out += " (edge ending at " + AstPrinter::summarize(*P.stmt(N2.Stmt)) +
            ")";
   return Out;
@@ -390,9 +390,9 @@ std::string RaceDetector::summarize(const RaceDetectionResult &Result,
     Out += RaceKind(Kind) == RaceKind::WriteWrite ? "write/write"
                                                   : "read/write";
     Out += " race on shared variable '" + Symbols.var(Var).Name + "'";
-    if (S1 != InvalidId)
+    if (S1 < P.numStmts())
       Out += " near " + AstPrinter::summarize(*P.stmt(S1));
-    if (S2 != InvalidId && S2 != S1)
+    if (S2 < P.numStmts() && S2 != S1)
       Out += " / " + AstPrinter::summarize(*P.stmt(S2));
     Out += "  (x" + std::to_string(Count) + ")\n";
   }

@@ -5,18 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The readiness-based server transport (DESIGN.md §14): one
-/// EventDispatcher thread owns every listening and connection fd, each
-/// connection is a small state machine (FrameReader reassembly on the
-/// read side, a bounded byte queue drained on EPOLLOUT on the write
-/// side), and requests flow through the same DebugServer::submitFrame
-/// path as the threaded transport — responses are byte-identical by
-/// construction, which is what makes `--transport threaded` a usable
-/// differential oracle.
+/// The server transport (DESIGN.md §14): one EventDispatcher thread owns
+/// every listening and connection fd, each connection is a small state
+/// machine (FrameReader reassembly on the read side, a bounded byte queue
+/// drained on EPOLLOUT on the write side), and requests flow through
+/// DebugServer::submitFrame — the same decode → dispatch → encode path
+/// as the in-process DebugServer::handleFrame, which is the transport's
+/// byte-level differential oracle.
 ///
-/// Lifecycle rules the threaded loop never had:
+/// Lifecycle rules:
 ///   * EOF/error reaps the connection immediately (fd closed, state
-///     freed) instead of parking it until shutdown;
+///     freed);
 ///   * a peer that stops reading while responses accumulate past
 ///     MaxWriteQueueBytes is disconnected (typed metric), never buffered
 ///     without bound and never allowed to block the loop;
@@ -57,7 +56,7 @@ struct EpollServerOptions {
 
 /// Serves \p Server over epoll until a Shutdown request stops the
 /// dispatcher. At least one listener must be given. Returns 0 on a clean
-/// shutdown, 1 otherwise — same contract as runUnixServer.
+/// shutdown, 1 otherwise.
 int runEpollServer(DebugServer &Server, const EpollServerOptions &Options);
 
 } // namespace ppd

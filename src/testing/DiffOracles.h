@@ -22,7 +22,7 @@
 ///               single-process programs (the emulation chunk shifts
 ///               preemption points, so multi-process interleavings may
 ///               legitimately differ).
-///   log/*       v1 and v2 save → load → re-save: loaded records equal
+///   log/*       save → load → re-save: loaded records equal
 ///               the originals field-by-field, re-saved bytes equal the
 ///               first save byte-for-byte, interval index identical.
 ///   replay/*    serial decoded vs serial legacy replay per interval, vs
@@ -87,7 +87,7 @@ struct DiffConfig {
 /// The verdict of one differential run.
 struct DiffReport {
   bool Divergent = false;
-  /// Stable oracle name ("engine/logging", "log/v2-resave", ...): the
+  /// Stable oracle name ("engine/logging", "log/resave", ...): the
   /// minimizer preserves it so shrinking cannot wander to a different bug.
   std::string Oracle;
   std::string Detail;

@@ -11,8 +11,8 @@
 // contract of the pool directly (pinned frames never evicted, single
 // decode under concurrent faults), validates the skim-built index against
 // the decoded one, round-trips the `.ppdb` sidecar through staleness and
-// every-byte truncation, and checks `ppd compact`'s streaming v1→v2
-// migration produces byte-identical files to a direct v2 save.
+// every-byte truncation, and checks that a store refuses files of any
+// other format version.
 //
 //===----------------------------------------------------------------------===//
 
@@ -488,25 +488,37 @@ TEST(PagedTest, ProgramDbTruncationAtEveryByteIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// PageStore validation and compact migration
+// PageStore validation
 //===----------------------------------------------------------------------===//
 
-// A store must reject a truncated v2 file at every byte offset (open
-// validates section extents and the output trailer), and name the
-// compact migration when pointed at a v1 file.
+// Both readers must reject a file whose header names another format
+// version — the retired version 1 included — leaving the caller's log
+// untouched, and the store must say which version it got. The store also
+// rejects a truncated file at every byte offset (open validates section
+// extents and the output trailer).
 TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
   Ran R = runProgram(readCorpusFile("fig41.ppl"), 1);
   ASSERT_TRUE(R.Prog != nullptr);
 
-  std::string V1Path = tempPath("store_v1.log");
-  ASSERT_TRUE(R.Log.save(V1Path, LogFormat::V1));
-  std::string Error;
-  EXPECT_TRUE(PageStore::open(V1Path, &Error) == nullptr);
-  EXPECT_NE(Error.find("ppd compact"), std::string::npos) << Error;
-
   std::string V2Path = tempPath("store_v2.log");
   ASSERT_TRUE(R.Log.save(V2Path));
   std::vector<uint8_t> Bytes = readFileRaw(V2Path);
+
+  std::vector<uint8_t> V1Bytes = Bytes;
+  V1Bytes[4] = 1; // the u32 version after the "PPDL" magic
+  std::string V1Path = tempPath("store_v1.log");
+  writeFileRaw(V1Path, V1Bytes.data(), V1Bytes.size());
+  std::string Error;
+  EXPECT_TRUE(PageStore::open(V1Path, &Error) == nullptr);
+  EXPECT_NE(Error.find("unsupported format version 1"), std::string::npos)
+      << Error;
+  ExecutionLog Sentinel;
+  Sentinel.Procs.resize(1);
+  Sentinel.Procs[0].RootFunc = 7777;
+  EXPECT_FALSE(ExecutionLog::load(V1Path, Sentinel));
+  ASSERT_EQ(Sentinel.Procs.size(), 1u);
+  EXPECT_EQ(Sentinel.Procs[0].RootFunc, 7777u);
+
   std::string CutPath = tempPath("store_cut.log");
   for (size_t Len = 0; Len != Bytes.size(); ++Len) {
     writeFileRaw(CutPath, Bytes.data(), Len);
@@ -517,36 +529,6 @@ TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
   std::remove(V1Path.c_str());
   std::remove(V2Path.c_str());
   std::remove(CutPath.c_str());
-}
-
-// The streaming v1→v2 migration must produce the exact bytes a direct v2
-// save produces, and the result must open as a paged store.
-TEST(PagedTest, CompactProducesByteIdenticalV2) {
-  for (const char *Name : Corpus) {
-    Ran R = runProgram(readCorpusFile(Name), 5, {}, {},
-                       /*ExpectCompleted=*/false);
-    ASSERT_TRUE(R.Prog != nullptr);
-    std::string V1Path = tempPath(std::string("compact_") + Name + ".v1");
-    std::string V2Path = tempPath(std::string("compact_") + Name + ".v2");
-    ASSERT_TRUE(R.Log.save(V1Path, LogFormat::V1));
-    ASSERT_TRUE(R.Log.save(V2Path, LogFormat::V2));
-
-    std::string Message;
-    EXPECT_EQ(int(compactLogFile(V1Path, Message)),
-              int(CompactResult::Converted))
-        << Message;
-    EXPECT_EQ(readFileRaw(V1Path), readFileRaw(V2Path)) << Name;
-
-    // Idempotent: a second compact reports AlreadyV2 and changes nothing.
-    EXPECT_EQ(int(compactLogFile(V1Path, Message)),
-              int(CompactResult::AlreadyV2));
-    EXPECT_EQ(readFileRaw(V1Path), readFileRaw(V2Path)) << Name;
-
-    std::string Error;
-    EXPECT_TRUE(PageStore::open(V1Path, &Error) != nullptr) << Error;
-    std::remove(V1Path.c_str());
-    std::remove(V2Path.c_str());
-  }
 }
 
 } // namespace

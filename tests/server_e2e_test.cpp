@@ -6,7 +6,8 @@
 // socket with the same ClientConnection the `ppd client` tool uses, and
 // checks the full lifecycle: scripted session, pipelined queries all
 // answered before a shutdown on the same connection takes effect, and a
-// zero exit status after the graceful drain.
+// zero exit status after the graceful drain. It also checks that `ppd
+// debug` refuses a log of another format version.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,14 +40,6 @@ func main() {
   print(total);
 }
 )";
-
-/// The transport flag the serve child runs with. PPD_E2E_TRANSPORT=
-/// threaded re-runs this whole suite over the legacy thread-per-
-/// connection loop (a CI leg), anything else uses the epoll default.
-const char *transportUnderTest() {
-  const char *Env = ::getenv("PPD_E2E_TRANSPORT");
-  return (Env && std::string(Env) == "threaded") ? "threaded" : "epoll";
-}
 
 /// Runs one `ppd serve` child; kills it on destruction if still alive.
 struct ServerProcess {
@@ -88,7 +81,7 @@ struct ServerProcess {
       else
         ::execl(PPD_TOOL_PATH, "ppd", "serve", ProgramPath.c_str(),
                 "--socket", SocketPath.c_str(), "--server-threads", "0",
-                "--transport", transportUnderTest(), (char *)nullptr);
+                (char *)nullptr);
       _exit(127);
     }
     if (WithTcp) {
@@ -337,6 +330,53 @@ TEST(ServerE2eTest, TcpListenerServesAndDrainsCleanly) {
   EXPECT_EQ(int(Resp.Type), int(RespType::ShutdownAck));
   Conn.disconnect();
   EXPECT_EQ(Server.waitExit(), 0) << "clean shutdown exits 0";
+}
+
+/// Runs \p Command through the shell; returns its exit status and
+/// captures stdout and stderr together in \p Output.
+int runShell(const std::string &Command, std::string &Output) {
+  FILE *Pipe = ::popen((Command + " 2>&1").c_str(), "r");
+  if (!Pipe)
+    return -1;
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), Pipe)) != 0)
+    Output.append(Buf, N);
+  int Status = ::pclose(Pipe);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
+TEST(CliE2eTest, DebugRejectsAnotherLogFormatVersion) {
+  // A log whose header names format version 1 (the retired fixed-width
+  // format) is refused at open: exit 1, the version named, no session.
+  std::string Base = "/tmp/ppd-e2e-cli-" + std::to_string(::getpid());
+  std::string ProgramPath = Base + ".ppl", LogPath = Base + ".log";
+  {
+    std::ofstream Out(ProgramPath);
+    Out << E2eSource;
+  }
+  std::string Output;
+  ASSERT_EQ(runShell(std::string(PPD_TOOL_PATH) + " run " + ProgramPath +
+                         " --no-ppdb --log " + LogPath,
+                     Output),
+            0)
+      << Output;
+  {
+    std::fstream Log(LogPath, std::ios::in | std::ios::out | std::ios::binary);
+    Log.seekp(4); // the u32 version after the "PPDL" magic
+    Log.put(char(1));
+  }
+  Output.clear();
+  EXPECT_EQ(runShell("echo 'where 0' | " + std::string(PPD_TOOL_PATH) +
+                         " debug " + ProgramPath + " --log " + LogPath +
+                         " --no-ppdb",
+                     Output),
+            1);
+  EXPECT_NE(Output.find("unsupported format version 1"), std::string::npos)
+      << Output;
+  EXPECT_EQ(Output.find("(ppd)"), std::string::npos) << Output;
+  std::remove(ProgramPath.c_str());
+  std::remove(LogPath.c_str());
 }
 
 } // namespace

@@ -1,15 +1,15 @@
 //===- tests/transport_test.cpp - epoll transport + TCP + lifetimes -------===//
 //
 // Part of PPD test suite: the readiness-based server transport
-// (DESIGN.md §14). The epoll dispatcher is checked against the legacy
-// threaded transport as a byte-level differential oracle, TCP against
-// the unix listener the same way, and the connection-lifetime fixes are
-// pinned down directly: fd counts flat across connect/disconnect churn
-// (both transports), idle-timeout reaping, slow-reader disconnection at
-// the write-queue bound (typed metric, bounded memory), malformed and
-// truncated frames over TCP, stream ingest over TCP, client desync
-// disconnects, and listenUnix refusing a live server's socket while
-// still cleaning stale files.
+// (DESIGN.md §14). The epoll dispatcher is checked against the
+// in-process DebugServer::handleFrame as a byte-level differential
+// oracle, TCP against the unix listener the same way, and the
+// connection-lifetime rules are pinned down directly: fd counts flat
+// across connect/disconnect churn, idle-timeout reaping, slow-reader
+// disconnection at the write-queue bound (typed metric, bounded memory),
+// malformed and truncated frames over TCP, stream ingest over TCP, client
+// desync disconnects, and listenUnix refusing a live server's socket
+// while still cleaning stale files.
 //
 //===----------------------------------------------------------------------===//
 
@@ -84,8 +84,8 @@ size_t openFdCount() {
   return N - 1; // the opendir fd
 }
 
-/// Polls until the fd count drops back to \p Baseline (reaping can be
-/// asynchronous on both transports). False on timeout.
+/// Polls until the fd count drops back to \p Baseline (reaping is
+/// asynchronous). False on timeout.
 bool awaitFdBaseline(size_t Baseline, int TimeoutMs = 5000) {
   for (int Waited = 0; Waited < TimeoutMs; Waited += 10) {
     if (openFdCount() <= Baseline)
@@ -151,47 +151,6 @@ struct EpollServer {
   }
 
   ~EpollServer() {
-    shutdown();
-    if (!UnixPath.empty())
-      ::unlink(UnixPath.c_str());
-  }
-};
-
-/// The legacy threaded transport, same shape: in-process DebugServer
-/// plus runUnixServer on a background thread.
-struct ThreadedServer {
-  DebugServer Server;
-  std::string UnixPath;
-  std::thread Loop;
-  int ExitCode = -1;
-
-  void addWorkload() {
-    Ran R = runProgram(WorkloadSource);
-    Server.addProgram(std::move(R.Prog), std::move(R.Log));
-  }
-
-  void start() {
-    UnixPath = tempName("thr") + ".sock";
-    int Fd = listenUnix(UnixPath);
-    ASSERT_GE(Fd, 0);
-    Loop = std::thread(
-        [this, Fd] { ExitCode = runUnixServer(Server, Fd, UnixPath); });
-  }
-
-  void shutdown() {
-    if (!Loop.joinable())
-      return;
-    ClientConnection Conn;
-    if (Conn.connect(UnixPath)) {
-      Request Shut;
-      Shut.Type = MsgType::Shutdown;
-      Response Ack;
-      Conn.roundTrip(Shut, Ack);
-    }
-    Loop.join();
-  }
-
-  ~ThreadedServer() {
     shutdown();
     if (!UnixPath.empty())
       ::unlink(UnixPath.c_str());
@@ -292,29 +251,36 @@ void expectSameResponses(const std::vector<std::vector<uint8_t>> &A,
 }
 
 //===----------------------------------------------------------------------===//
-// Differentials: epoll vs threaded, TCP vs unix
+// Differentials: epoll vs in-process handleFrame, TCP vs unix
 //===----------------------------------------------------------------------===//
 
-TEST(TransportDiffTest, EpollResponsesByteIdenticalToThreaded) {
+TEST(TransportDiffTest, EpollResponsesByteIdenticalToHandleFrame) {
   // Two servers over two deterministic compiles+runs of the same source:
   // their programs and logs are identical, so every non-Stats response
-  // must match byte for byte across transports.
+  // the epoll transport delivers must match, byte for byte, what the
+  // in-process server's handleFrame returns for the same frame.
   EpollServer Epoll;
   Epoll.addWorkload();
   Epoll.start(/*WithUnix=*/true, /*WithTcp=*/false);
-  ThreadedServer Threaded;
-  Threaded.addWorkload();
-  Threaded.start();
-
   std::vector<std::vector<uint8_t>> FromEpoll = replayScript(Epoll.UnixPath);
-  std::vector<std::vector<uint8_t>> FromThreaded =
-      replayScript(Threaded.UnixPath);
-  expectSameResponses(FromEpoll, FromThreaded);
+
+  DebugServer InProc;
+  Ran R = runProgram(WorkloadSource);
+  InProc.addProgram(std::move(R.Prog), std::move(R.Log));
+  std::vector<std::vector<uint8_t>> FromHandleFrame;
+  uint64_t NextId = 1;
+  for (Request Req : differentialScript()) {
+    Req.RequestId = NextId++;
+    std::vector<uint8_t> P = payloadOf(Req);
+    std::vector<uint8_t> Frame = InProc.handleFrame(P.data(), P.size());
+    // handleFrame returns the whole frame; the socket side strips the
+    // length prefix.
+    FromHandleFrame.emplace_back(Frame.begin() + 4, Frame.end());
+  }
+  expectSameResponses(FromEpoll, FromHandleFrame);
 
   Epoll.shutdown();
-  Threaded.shutdown();
   EXPECT_EQ(Epoll.ExitCode, 0);
-  EXPECT_EQ(Threaded.ExitCode, 0);
 }
 
 TEST(TransportDiffTest, TcpResponsesByteIdenticalToUnix) {
@@ -380,8 +346,8 @@ TEST(TransportRobustnessTest, GarbageFrameOverTcpGetsBadFrameThenClose) {
   EXPECT_EQ(int(R.Code), int(ErrCode::BadFrame));
   EXPECT_GE(S.Server.metrics().malformedFrames(), 1u);
   // The framing itself was valid, so the connection stays synced — the
-  // same connection serves a well-formed request next (matching the
-  // threaded transport; only unsyncable framing closes, see below).
+  // same connection serves a well-formed request next (only unsyncable
+  // framing closes, see below).
   Request Open;
   Open.Type = MsgType::OpenSession;
   Open.RequestId = 2;
@@ -497,40 +463,6 @@ TEST(ConnLifetimeTest, FdCountFlatAcrossChurnEpoll) {
       << Baseline << " after " << Cycles << " connect/disconnect cycles";
   EXPECT_GE(S.Server.metrics().connsAccepted(), uint64_t(Cycles));
   EXPECT_GE(S.Server.metrics().connsClosed(), uint64_t(Cycles));
-}
-
-TEST(ConnLifetimeTest, FdCountFlatAcrossChurnThreaded) {
-  // The regression the tentpole fixed: the old accept loop parked every
-  // Connection until shutdown, leaking one fd and one thread per
-  // disconnected client.
-  ThreadedServer S;
-  S.addWorkload();
-  S.start();
-
-  {
-    ClientConnection Warm;
-    ASSERT_TRUE(Warm.connect(S.UnixPath));
-    Request Open;
-    Open.Type = MsgType::OpenSession;
-    Response Resp;
-    ASSERT_TRUE(Warm.roundTrip(Open, Resp));
-  }
-  ASSERT_TRUE(awaitFdBaseline(openFdCount()));
-  size_t Baseline = openFdCount();
-
-  constexpr int Cycles = 200;
-  for (int I = 0; I != Cycles; ++I) {
-    ClientConnection Conn;
-    ASSERT_TRUE(Conn.connect(S.UnixPath)) << "cycle " << I;
-    Request Stats;
-    Stats.Type = MsgType::Stats;
-    Response Resp;
-    ASSERT_TRUE(Conn.roundTrip(Stats, Resp));
-  }
-
-  EXPECT_TRUE(awaitFdBaseline(Baseline))
-      << "fd count " << openFdCount() << " never returned to baseline "
-      << Baseline << " after " << Cycles << " connect/disconnect cycles";
 }
 
 TEST(ConnLifetimeTest, IdleConnectionsAreReaped) {
