@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The decoded-execution fast path shared by the VM (vm/Machine.cpp) and
-/// the emulation-package replay engine (core/Replay.cpp). A DecodedChunk
+/// The instruction stream both interpreters execute: the VM's
+/// (vm/Machine.cpp) and the emulation-package replay engine's
+/// (core/Replay.cpp); the replay JIT (vm/Jit.cpp) compiles from it too.
+/// Compiler::compile decodes every function. A DecodedChunk
 /// is produced once per function during the preparatory phase: the decoder
 /// flattens a Chunk into an array of DecodedInstr with the statement id
 /// inlined (no side-table lookup per step) and rewrites common adjacent
@@ -19,16 +21,17 @@
 /// pc i — which buys three invariants at once:
 ///
 ///   * jump targets need no remapping: a decoded index *is* a pc, so
-///     EBlockInfo::EmuEntryPc and Process::Pc keep their meaning on both
-///     the legacy and the decoded path;
+///     EBlockInfo::EmuEntryPc and Process::Pc index the Chunk and its
+///     decoded stream alike;
 ///   * a jump that lands on the *second* instruction of a fused pair
 ///     executes it from its own (still fully decoded) slot;
 ///   * a superinstruction remains splittable: when the scheduler's
-///     quantum or the global step budget has only one step left, the
-///     interpreter executes just the first half (the compare / the push)
-///     and leaves the pc on the second slot, so preemption points — and
-///     therefore interleavings, sync sequence numbers, and the log bytes —
-///     are bit-identical to the legacy one-instruction-at-a-time engine.
+///     quantum, the global step budget or the replay budget has only one
+///     step left, the interpreter executes just the first half (the
+///     compare / the push) and leaves the pc on the second slot, so
+///     preemption points — and therefore interleavings, sync sequence
+///     numbers, and the log bytes — are those of executing the source
+///     instructions one at a time.
 ///
 /// Fusion requires both instructions to carry the same statement id (the
 /// breakpoint check fires on statement transitions, which must not be

@@ -312,10 +312,18 @@ DynNodeId PpdController::materializeWriter(EdgeRef Producer, VarId Var,
     return InvalidId;
   TraceOk = true;
 
-  // Last event within the edge's record span writing the variable.
+  // Last event within the edge's record span writing the variable. A
+  // skipped call spans the records up to the next event's: it counts when
+  // that span meets the edge's (the callee may synchronize inside).
   DynNodeId Best = InvalidId;
-  for (const TraceEvent &E : Replay->Events.Events) {
-    if (E.LogCursor <= Begin || E.LogCursor > End)
+  const std::vector<TraceEvent> &Events = Replay->Events.Events;
+  for (size_t K = 0; K != Events.size(); ++K) {
+    const TraceEvent &E = Events[K];
+    uint32_t SpanEnd = E.Kind == TraceEventKind::CallSkipped
+                           ? (K + 1 != Events.size() ? Events[K + 1].LogCursor
+                                                     : UINT32_MAX)
+                           : E.LogCursor;
+    if (SpanEnd <= Begin || E.LogCursor > End)
       continue;
     bool WritesVar = false;
     if (E.Kind == TraceEventKind::Stmt) {

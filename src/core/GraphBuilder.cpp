@@ -9,6 +9,8 @@
 #include "lang/AstPrinter.h"
 #include "sema/Accesses.h"
 
+#include <algorithm>
+
 using namespace ppd;
 
 DynNodeId
@@ -133,11 +135,33 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
     PrevNode = Out.EntryNode;
   }
 
+  // Internal edges (§6.2) numbered along the trace: the edge of a log
+  // position is the number of sync records the trace passed before it.
+  const std::vector<uint32_t> &Syncs = Events.SyncRecords;
+  auto EdgeAt = [&](uint32_t LogCursor) {
+    return uint32_t(std::lower_bound(Syncs.begin(), Syncs.end(), LogCursor) -
+                    Syncs.begin());
+  };
+  // The edge each local writer of a shared variable wrote in: the one its
+  // statement ends on (a store is a statement's last act). Another process
+  // may overwrite the variable once this one synchronizes, so a local
+  // write only answers reads on its own edge.
+  std::map<DynNodeId, uint32_t> SharedWriteEdge;
+  auto RecordGlobalWrite = [&](VarId Var, int64_t Index, DynNodeId Node,
+                               uint32_t Edge) {
+    recordWrite(GlobalWriters, Var, Index, Node);
+    if (Prog.Symbols->var(Var).Kind == VarKind::SharedGlobal)
+      SharedWriteEdge[Node] = Edge;
+  };
+
   auto ResolveRead = [&](DynNodeId Reader, VarId Var, int64_t Index,
                          int64_t Value, uint32_t LogCursor) {
     const VarInfo &Info = Prog.Symbols->var(Var);
     if (Info.isGlobal()) {
       DynNodeId Writer = lookupWriter(GlobalWriters, Var, Index);
+      if (Writer != InvalidId && Info.Kind == VarKind::SharedGlobal &&
+          SharedWriteEdge[Writer] < EdgeAt(LogCursor))
+        Writer = InvalidId; // the controller orders it against others
       if (Writer != InvalidId) {
         Graph.addEdge({DynEdgeKind::Data, Writer, Reader, Var, -1});
         return;
@@ -217,9 +241,44 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
     return ParamNodes;
   };
 
-  for (const TraceEvent &E : Events.Events) {
+  // A statement's reads and writes normally apply as one step. One that
+  // calls a function reads partly before the call and partly after it
+  // returns, and stores only at its end: its reads up to each call's
+  // CallerReads apply before that call's effects, the rest and its writes
+  // once the innermost scope moves on (next statement, return, or the end
+  // of the trace).
+  auto ApplyReads = [&](uint32_t Upto) {
+    Scope &S = Scopes.back();
+    if (!S.OpenStmt)
+      return;
+    const TraceEvent &Open = *S.OpenStmt;
+    Upto = std::min<uint32_t>(Upto, uint32_t(Open.Reads.size()));
+    for (; S.OpenReads < Upto; ++S.OpenReads) {
+      const TraceAccess &R = Open.Reads[S.OpenReads];
+      ResolveRead(S.LastStmtNode, R.Var, R.Index, R.Value, Open.LogCursor);
+    }
+  };
+  // EndCursor is the log position the open statement ended at.
+  auto CloseStmt = [&](uint32_t EndCursor) {
+    Scope &S = Scopes.back();
+    if (!S.OpenStmt)
+      return;
+    ApplyReads(UINT32_MAX);
+    uint32_t Edge = EdgeAt(EndCursor);
+    for (const TraceAccess &W : S.OpenStmt->Writes) {
+      if (Prog.Symbols->var(W.Var).isGlobal())
+        RecordGlobalWrite(W.Var, W.Index, S.LastStmtNode, Edge);
+      else
+        recordWrite(S.LocalWriters, W.Var, W.Index, S.LastStmtNode);
+    }
+    S.OpenStmt = nullptr;
+  };
+
+  for (size_t EventIdx = 0; EventIdx != Events.Events.size(); ++EventIdx) {
+    const TraceEvent &E = Events.Events[EventIdx];
     switch (E.Kind) {
     case TraceEventKind::Stmt: {
+      CloseStmt(E.LogCursor);
       DynNode N;
       N.Kind = DynNodeKind::Singular;
       N.Pid = Pid;
@@ -243,23 +302,28 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
         Graph.addEdge({DynEdgeKind::Flow, PrevNode, Node, InvalidId, -1});
       PrevNode = Node;
 
-      for (const TraceAccess &R : E.Reads)
-        ResolveRead(Node, R.Var, R.Index, R.Value, E.LogCursor);
+      // A call, if the statement makes one, is the next event.
+      const TraceEvent *Next = EventIdx + 1 != Events.Events.size()
+                                   ? &Events.Events[EventIdx + 1]
+                                   : nullptr;
+      bool Calls = Next && (Next->Kind == TraceEventKind::CallBegin ||
+                            Next->Kind == TraceEventKind::CallSkipped);
+      Scope &S = Scopes.back();
+      S.LastStmtNode = Node;
+      S.OpenStmt = &E;
+      S.OpenReads = 0;
+      ApplyReads(Calls ? Next->CallerReads : UINT32_MAX);
       AddControlDeps(Node, E.Stmt);
-      for (const TraceAccess &W : E.Writes) {
-        const VarInfo &Info = Prog.Symbols->var(W.Var);
-        auto &Map = Info.isGlobal() ? GlobalWriters
-                                    : Scopes.back().LocalWriters;
-        recordWrite(Map, W.Var, W.Index, Node);
-      }
+      if (!Calls)
+        CloseStmt(Next ? Next->LogCursor : UINT32_MAX);
       if (E.IsPredicate)
-        Scopes.back().LastPredicate[E.Stmt] = Node;
-      Scopes.back().LastStmtNode = Node;
+        S.LastPredicate[E.Stmt] = Node;
       Out.LastNode = Node;
       break;
     }
 
     case TraceEventKind::CallBegin: {
+      ApplyReads(E.CallerReads); // the caller's reads before the call
       const FuncDecl *Callee = P.Funcs[E.Callee].get();
       DynNode SG;
       SG.Kind = DynNodeKind::SubGraph;
@@ -296,6 +360,7 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
 
     case TraceEventKind::CallEnd: {
       assert(Scopes.size() > 1 && "call end without matching begin");
+      CloseStmt(E.LogCursor);
       DynNodeId SGId = Scopes.back().SubGraph;
       Scopes.pop_back();
       DynNode &SG = Graph.node(SGId);
@@ -310,6 +375,7 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
     }
 
     case TraceEventKind::CallSkipped: {
+      ApplyReads(E.CallerReads); // the caller's reads before the call
       const FuncDecl *Callee = P.Funcs[E.Callee].get();
       DynNode SG;
       SG.Kind = DynNodeKind::SubGraph;
@@ -332,15 +398,24 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
         Graph.addEdge({DynEdgeKind::Data, SGId, Scopes.back().LastStmtNode,
                        InvalidId, -1});
       // The callee may have rewritten globals: later reads point at the
-      // unexpanded node, inviting the user to expand it.
+      // unexpanded node, inviting the user to expand it. Its writes take
+      // effect when it returns, on the edge the next event starts on.
+      uint32_t Edge = EdgeAt(EventIdx + 1 != Events.Events.size()
+                                 ? Events.Events[EventIdx + 1].LogCursor
+                                 : UINT32_MAX);
       for (unsigned G : Prog.ModRef.Mod[E.Callee].toVector())
-        recordWrite(GlobalWriters, VarId(G), -1, SGId);
+        RecordGlobalWrite(VarId(G), -1, SGId, Edge);
       if (PrevNode != InvalidId)
         Graph.addEdge({DynEdgeKind::Flow, PrevNode, SGId, InvalidId, -1});
       PrevNode = SGId;
       break;
     }
     }
+  }
+  // A trace cut short (breakpoint, failure) may end inside calls.
+  while (!Scopes.empty()) {
+    CloseStmt(UINT32_MAX);
+    Scopes.pop_back();
   }
 
   // Label the entry with the e-block's function now that events are known.

@@ -80,6 +80,10 @@ private:
     std::map<WriterKey, DynNodeId> LocalWriters;
     std::map<StmtId, DynNodeId> LastPredicate;
     DynNodeId LastStmtNode = InvalidId;
+    /// A statement that made calls: its event, and the reads and writes
+    /// still to apply once its calls have run (null when none).
+    const TraceEvent *OpenStmt = nullptr;
+    uint32_t OpenReads = 0;
   };
 
   /// Most recent writer of (var, index), honoring whole-array writes.

@@ -2,16 +2,14 @@
 //
 // Part of PPD. See Replay.h.
 //
-// Three replay tiers live here, mirroring vm/Machine.cpp: the JIT runner
-// (runJit) drives natively compiled e-block code with interpreter
-// side-exits; the decoded fast path (runDecoded) is a token-threaded loop
-// over the emulation package's pre-decoded stream; the legacy engine
-// (step) remains as the portable reference. Every record-cursor
-// operation — the sync no-ops, prelog/postlog/unit-log handling, trace
-// event construction, nested-call skipping — is a helper shared verbatim
-// by all engines, so the paths cannot drift. The JIT additionally routes
-// its side-exit instructions through step() and its trace events through
-// the same helpers, which is what makes it bit-identical by construction.
+// Two replay tiers live here. The interpreter (runDecoded) is a
+// token-threaded loop over the emulation package's pre-decoded stream; the
+// JIT runner (runJit) drives natively compiled e-block code and hands each
+// side-exit instruction to that interpreter as a single step. Every
+// record-cursor operation — the sync no-ops, prelog/postlog/unit-log
+// handling, trace event construction, nested-call skipping — is a helper
+// both tiers call, which is what makes the JIT bit-identical to the
+// interpreter by construction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +54,6 @@ public:
 private:
   enum class StepOutcome { Continue, Stop };
 
-  const Chunk &chunk() const { return Prog.func(Frames.back().Func).Emu; }
-
   /// Local slots of the innermost frame.
   int64_t *topSlots() { return SlotArena.data() + Frames.back().SlotBase; }
 
@@ -75,10 +71,16 @@ private:
   }
 
   /// True when the cursor sits at the end of what actually executed: the
-  /// log is exhausted or a Stop marker (machine freeze) is next.
+  /// log is exhausted, or a Stop marker or the terminal Stopped sync node
+  /// of a frozen process is next. A failed process has no Stop marker, and
+  /// a failure replay does not re-derive (stack overflow) runs on to its
+  /// Stopped node.
   bool atExecutionEnd() const {
-    return Cursor >= Records.size() ||
-           Records[Cursor].Kind == LogRecordKind::Stop;
+    if (Cursor >= Records.size())
+      return true;
+    const LogRecord &R = Records[Cursor];
+    return R.Kind == LogRecordKind::Stop ||
+           (R.Kind == LogRecordKind::SyncEvent && R.Sync == SyncKind::Stopped);
   }
 
   /// Consumes the next record if it has the expected shape; returns null
@@ -109,8 +111,10 @@ private:
       return nullptr;
     }
     if (Records[Cursor].Kind == LogRecordKind::SyncEvent &&
-        Records[Cursor].Sync == Kind)
+        Records[Cursor].Sync == Kind) {
+      Result.Events.SyncRecords.push_back(Cursor);
       return &Records[Cursor++];
+    }
     return nullptr;
   }
 
@@ -224,10 +228,10 @@ private:
 
   void skipNestedCall(uint32_t Callee, StmtId Stmt);
 
-  // Cold operations shared verbatim by the legacy switch engine and the
-  // decoded handlers. They operate on the member state (Stack, Pc,
-  // Cursor, Frames); the decoded loop syncs its Ip with Pc around the two
-  // that transfer control (doCall, doRet).
+  // Cold operations, kept out of the threaded loop and shared with the JIT
+  // runner. They operate on the member state (Stack, Pc, Cursor, Frames);
+  // the interpreter syncs its Ip with Pc around the two that transfer
+  // control (doCall, doRet).
   StepOutcome doSemP();
   StepOutcome doSemV();
   StepOutcome doSend();
@@ -243,8 +247,11 @@ private:
   StepOutcome doCall(uint32_t Callee, uint32_t Argc, StmtId Stmt);
   StepOutcome doRet();
 
-  StepOutcome step();
-  void runDecoded();
+  /// Interprets from Pc until the replay stops or the instruction count
+  /// reaches \p Limit. A limit below Options.MaxInstructions pauses there
+  /// (the JIT runner's single steps); reaching MaxInstructions fails the
+  /// replay with the budget error, charging the refused instruction.
+  void runDecoded(uint64_t Limit);
   /// The JIT runner: native execution with interpreter side-exits.
   /// Returns the number of Interp bailouts taken; \p NativeEntries counts
   /// how many times native code was actually entered.
@@ -305,7 +312,9 @@ void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
   unsigned Depth = 0;
   while (Cursor < Records.size()) {
     const LogRecord &R = Records[Cursor++];
-    if (R.Kind == LogRecordKind::Prelog) {
+    if (R.Kind == LogRecordKind::SyncEvent) {
+      Result.Events.SyncRecords.push_back(Cursor - 1);
+    } else if (R.Kind == LogRecordKind::Prelog) {
       ++Depth;
     } else if (R.Kind == LogRecordKind::Postlog) {
       if (Depth == 0) {
@@ -348,11 +357,13 @@ void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
   Stack.resize(Stack.size() - Argc);
   Stack.push_back(RetVal);
   E.LogCursor = StartCursor;
+  if (const TraceEvent *Caller = openEvent())
+    E.CallerReads = uint32_t(Caller->Reads.size());
   Result.Events.append(std::move(E));
 }
 
 //===----------------------------------------------------------------------===//
-// Cold operations shared by both engines
+// Cold operations
 //===----------------------------------------------------------------------===//
 
 Replayer::StepOutcome Replayer::doSemP() {
@@ -510,6 +521,8 @@ void Replayer::doTraceCallBegin(uint32_t Callee, StmtId Stmt) {
   uint32_t Argc = Prog.func(Callee).NumParams;
   E.Args.assign(Stack.end() - Argc, Stack.end());
   E.LogCursor = Cursor;
+  if (const TraceEvent *Caller = openEvent())
+    E.CallerReads = uint32_t(Caller->Reads.size());
   Result.Events.append(std::move(E));
 }
 
@@ -570,266 +583,10 @@ Replayer::StepOutcome Replayer::doRet() {
 }
 
 //===----------------------------------------------------------------------===//
-// The legacy switch engine
+// The interpreter
 //===----------------------------------------------------------------------===//
 
-Replayer::StepOutcome Replayer::step() {
-  const Chunk &Code = chunk();
-  assert(Pc < Code.size() && "replay pc out of range");
-  const Instr I = Code.at(Pc);
-  StmtId Stmt = Code.stmtAt(Pc);
-  ++Pc;
-
-  auto Push = [&](int64_t V) { Stack.push_back(V); };
-  auto Pop = [&]() {
-    assert(!Stack.empty() && "operand stack underflow in replay");
-    int64_t V = Stack.back();
-    Stack.pop_back();
-    return V;
-  };
-
-  bool IsShared = false;
-  switch (I.Opcode) {
-  case Op::PushConst:
-    Push(I.Imm);
-    return StepOutcome::Continue;
-  case Op::Pop:
-    Pop();
-    return StepOutcome::Continue;
-  case Op::ToBool:
-    Stack.back() = Stack.back() != 0;
-    return StepOutcome::Continue;
-
-  case Op::LoadLocal: {
-    int64_t V = topSlots()[I.A];
-    Push(V);
-    traceRead(VarId(I.B), V, -1);
-    return StepOutcome::Continue;
-  }
-  case Op::StoreLocal: {
-    int64_t V = Pop();
-    topSlots()[I.A] = V;
-    traceWrite(VarId(I.B), V, -1);
-    return StepOutcome::Continue;
-  }
-  case Op::LoadLocalElem: {
-    int64_t Idx = Pop();
-    if (Idx < 0 || Idx >= I.Imm) {
-      failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-      return StepOutcome::Stop;
-    }
-    int64_t V = topSlots()[I.A + Idx];
-    Push(V);
-    traceRead(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-  case Op::StoreLocalElem: {
-    int64_t V = Pop();
-    int64_t Idx = Pop();
-    if (Idx < 0 || Idx >= I.Imm) {
-      failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-      return StepOutcome::Stop;
-    }
-    topSlots()[I.A + Idx] = V;
-    traceWrite(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-  case Op::ZeroLocal:
-    std::fill_n(topSlots() + I.A, I.Imm, 0);
-    traceWrite(VarId(I.B), 0, -1);
-    return StepOutcome::Continue;
-
-  case Op::LoadShared:
-  case Op::LoadSharedElem:
-    IsShared = true;
-    [[fallthrough]];
-  case Op::LoadPriv:
-  case Op::LoadPrivElem: {
-    std::vector<int64_t> &Mem = IsShared ? Shared : Priv;
-    int64_t Idx = -1;
-    uint32_t Offset = uint32_t(I.A);
-    if (I.Opcode == Op::LoadSharedElem || I.Opcode == Op::LoadPrivElem) {
-      Idx = Pop();
-      if (Idx < 0 || Idx >= I.Imm) {
-        failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-        return StepOutcome::Stop;
-      }
-      Offset += uint32_t(Idx);
-    }
-    int64_t V = Mem[Offset];
-    Push(V);
-    traceRead(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-  case Op::StoreShared:
-  case Op::StoreSharedElem:
-    IsShared = true;
-    [[fallthrough]];
-  case Op::StorePriv:
-  case Op::StorePrivElem: {
-    std::vector<int64_t> &Mem = IsShared ? Shared : Priv;
-    int64_t V = Pop();
-    int64_t Idx = -1;
-    uint32_t Offset = uint32_t(I.A);
-    if (I.Opcode == Op::StoreSharedElem || I.Opcode == Op::StorePrivElem) {
-      Idx = Pop();
-      if (Idx < 0 || Idx >= I.Imm) {
-        failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-        return StepOutcome::Stop;
-      }
-      Offset += uint32_t(Idx);
-    }
-    Mem[Offset] = V;
-    traceWrite(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-
-  case Op::Add: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapAdd(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Sub: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapSub(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Mul: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapMul(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Div: {
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      failHere(RuntimeErrorKind::DivideByZero, Stmt);
-      return StepOutcome::Stop;
-    }
-    Push(wrapDiv(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Mod: {
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      failHere(RuntimeErrorKind::ModuloByZero, Stmt);
-      return StepOutcome::Stop;
-    }
-    Push(wrapMod(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Neg:
-    Stack.back() = wrapNeg(Stack.back());
-    return StepOutcome::Continue;
-  case Op::Not:
-    Stack.back() = Stack.back() == 0;
-    return StepOutcome::Continue;
-  case Op::CmpEq: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Eq, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpNe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Ne, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpLt: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Lt, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpLe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Le, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpGt: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Gt, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpGe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Ge, A, B));
-    return StepOutcome::Continue;
-  }
-
-  case Op::Jump:
-    Pc = uint32_t(I.A);
-    return StepOutcome::Continue;
-  case Op::JumpIfFalse:
-  case Op::JumpIfTrue: {
-    int64_t Cond = Pop();
-    if (TraceEvent *E = openEvent()) {
-      E->IsPredicate = true;
-      E->BranchTaken = Cond != 0;
-    }
-    bool Taken = I.Opcode == Op::JumpIfFalse ? Cond == 0 : Cond != 0;
-    if (Taken)
-      Pc = uint32_t(I.A);
-    return StepOutcome::Continue;
-  }
-
-  case Op::Call:
-    return doCall(uint32_t(I.A), uint32_t(I.B), Stmt);
-  case Op::Ret:
-    return doRet();
-  case Op::CallBuiltin: {
-    if (!applyBuiltin(Builtin(I.A), Stack)) {
-      failHere(RuntimeErrorKind::NegativeSqrt, Stmt);
-      return StepOutcome::Stop;
-    }
-    return StepOutcome::Continue;
-  }
-
-  case Op::SemP:
-    return doSemP();
-  case Op::SemV:
-    return doSemV();
-  case Op::SendCh:
-    return doSend();
-  case Op::RecvCh:
-    return doRecv();
-  case Op::SpawnProc:
-    return doSpawn(uint32_t(I.B));
-
-  case Op::PrintVal: {
-    int64_t Value = Pop();
-    Result.Output.push_back({Pid, Value, Stmt});
-    return StepOutcome::Continue;
-  }
-  case Op::InputVal:
-    return doInput();
-
-  case Op::Prelog:
-    return doPrelog(uint32_t(I.A));
-  case Op::Postlog:
-    return doPostlog(uint32_t(I.A), uint32_t(I.B));
-  case Op::UnitLog:
-    return doUnitLog(uint32_t(I.A));
-
-  case Op::TraceStmt:
-    return doTraceStmt(StmtId(I.A));
-  case Op::TraceCallBegin:
-    doTraceCallBegin(uint32_t(I.A), StmtId(I.B));
-    return StepOutcome::Continue;
-  case Op::TraceCallEnd:
-    doTraceCallEnd(uint32_t(I.A));
-    return StepOutcome::Continue;
-
-  case Op::Halt:
-    finish(true);
-    return StepOutcome::Stop;
-  }
-  assert(false && "unknown opcode in replay");
-  return StepOutcome::Stop;
-}
-
-//===----------------------------------------------------------------------===//
-// The decoded fast path
-//===----------------------------------------------------------------------===//
-
-void Replayer::runDecoded() {
+void Replayer::runDecoded(uint64_t Limit) {
   PPD_DISPATCH_TABLE();
 
   // Hot state lives in locals and is synced back to the members on every
@@ -851,14 +608,19 @@ void Replayer::runDecoded() {
     return V;
   };
 
+  Limit = std::min(Limit, Options.MaxInstructions);
   for (;;) {
-    // Per-instruction prologue: exact legacy accounting — the budget
-    // check charges the instruction even when it fails.
-    if (Result.Instructions++ >= Options.MaxInstructions) {
-      Result.Error = "replay instruction budget exceeded";
-      Result.Ok = false;
+    // Per-instruction prologue: one count per source instruction. The
+    // budget check charges the instruction it refuses.
+    if (Result.Instructions >= Limit) {
+      if (Limit == Options.MaxInstructions) {
+        ++Result.Instructions;
+        Result.Error = "replay instruction budget exceeded";
+        finish(false);
+      }
       goto Exit;
     }
+    ++Result.Instructions;
     const DecodedInstr &I = Base[Ip];
     ++Ip;
 
@@ -1057,13 +819,13 @@ void Replayer::runDecoded() {
       }
       PPD_OP(JumpIfCmp) {
         // Fused Cmp + JumpIf. The compare is this instruction; the branch
-        // is the next one and only executes if the budget still has room —
+        // is the next one and only executes if the limit still has room —
         // otherwise the compare result is pushed and the pc stays on the
-        // branch's own (still fully decoded) slot, so the legacy engine's
-        // instruction accounting is preserved exactly.
+        // branch's own (still fully decoded) slot, so a single step, or
+        // the budget's last instruction, runs the compare alone.
         int64_t B = Pop(), A = Pop();
         int64_t Cond = evalCmp(CmpKind(I.Sub >> 1), A, B);
-        if (Result.Instructions < Options.MaxInstructions) {
+        if (Result.Instructions < Limit) {
           ++Result.Instructions;
           if (TraceEvent *E = openEvent()) {
             E->IsPredicate = true;
@@ -1078,7 +840,7 @@ void Replayer::runDecoded() {
       }
       PPD_OP(StoreLocalImm) {
         // Fused PushConst + StoreLocal, split the same way.
-        if (Result.Instructions < Options.MaxInstructions) {
+        if (Result.Instructions < Limit) {
           ++Result.Instructions;
           ++Ip; // skip the second half's slot
           Slots[I.A] = I.Imm;
@@ -1205,9 +967,9 @@ Exit:
 // matching runDecoded's loop header instruction for instruction) and
 // side-exits for everything that touches the log cursor or the frame
 // stack; those slots — and any pc whose stack depth the compiler could
-// not prove — execute through the legacy step(), which shares every cold
-// helper with the decoded engine. Instruction accounting, events, output,
-// and final state are therefore bit-identical across all three tiers.
+// not prove — execute as one step of runDecoded. Instruction accounting,
+// events, output, and final state are therefore bit-identical across the
+// two tiers.
 uint64_t Replayer::runJit(uint64_t &NativeEntries) {
   JitContext Ctx;
   Ctx.Shared = Shared.data();
@@ -1267,7 +1029,7 @@ uint64_t Replayer::runJit(uint64_t &NativeEntries) {
       Pc = Exit.Ip;
       if (Exit.Kind == JitExitKind::Budget) {
         Result.Error = "replay instruction budget exceeded";
-        Result.Ok = false;
+        finish(false);
         break;
       }
       if (Exit.Kind == JitExitKind::Stop)
@@ -1286,15 +1048,9 @@ uint64_t Replayer::runJit(uint64_t &NativeEntries) {
       ++Bailouts;
     }
     // One interpreter step: a side-exit instruction, a function whose
-    // compile failed, or a pc without a proven depth. Charge first,
-    // exactly like runDecoded's prologue and run()'s legacy loop.
-    if (Result.Instructions++ >= Options.MaxInstructions) {
-      Result.Error = "replay instruction budget exceeded";
-      Result.Ok = false;
-      break;
-    }
-    if (step() == StepOutcome::Stop)
-      break;
+    // compile failed, or a pc without a proven depth. At a fused slot the
+    // step runs only the first half, leaving the pc on the second.
+    runDecoded(Result.Instructions + 1);
   }
   return Bailouts;
 }
@@ -1322,22 +1078,12 @@ ReplayResult Replayer::run() {
   Pc = EBlock.EmuEntryPc;
   Cursor = Interval.PrelogRecord;
 
-  // Tier selection. The decoded and JIT paths need usable decoded
-  // emulation streams for every function (hand-assembled CompiledPrograms
-  // may lack them). The JIT tier additionally needs a live JitProgram
-  // (compiled in, x86-64 host) and a warm e-block — cold intervals replay
-  // decoded and only cache-driven re-executions pay the compile, which
-  // then amortizes across the session.
-  ReplayEngineKind Engine = Options.Engine;
-  for (const CompiledFunction &F : Prog.Funcs)
-    if (F.EmuDecoded.size() != F.Emu.size())
-      Engine = ReplayEngineKind::Legacy;
-  if (Engine == ReplayEngineKind::Jit &&
-      (!Jit || !Jit->shouldTier(Interval.EBlock)))
-    Engine = ReplayEngineKind::Decoded;
-
-  switch (Engine) {
-  case ReplayEngineKind::Jit: {
+  // Tier selection. The JIT tier needs a live JitProgram (compiled in,
+  // x86-64 host) and a warm e-block — cold intervals are interpreted and
+  // only cache-driven re-executions pay the compile, which then amortizes
+  // across the session.
+  if (Options.Engine == ReplayEngineKind::Jit && Jit &&
+      Jit->shouldTier(Interval.EBlock)) {
     auto T0 = std::chrono::steady_clock::now();
     uint64_t NativeEntries = 0;
     uint64_t Bailouts = runJit(NativeEntries);
@@ -1346,22 +1092,8 @@ ReplayResult Replayer::run() {
                      std::chrono::steady_clock::now() - T0)
                      .count()),
         Bailouts, NativeEntries != 0);
-    break;
-  }
-  case ReplayEngineKind::Decoded:
-    runDecoded();
-    break;
-  case ReplayEngineKind::Legacy:
-    while (!Done) {
-      if (Result.Instructions++ >= Options.MaxInstructions) {
-        Result.Error = "replay instruction budget exceeded";
-        Result.Ok = false;
-        break;
-      }
-      if (step() == StepOutcome::Stop)
-        break;
-    }
-    break;
+  } else {
+    runDecoded(Options.MaxInstructions);
   }
 
   Result.Shared = std::move(Shared);
@@ -1372,31 +1104,6 @@ ReplayResult Replayer::run() {
 }
 
 } // namespace
-
-bool ppd::parseReplayEngine(const std::string &Name,
-                            ReplayEngineKind &Kind) {
-  if (Name == "jit")
-    Kind = ReplayEngineKind::Jit;
-  else if (Name == "decoded")
-    Kind = ReplayEngineKind::Decoded;
-  else if (Name == "legacy")
-    Kind = ReplayEngineKind::Legacy;
-  else
-    return false;
-  return true;
-}
-
-const char *ppd::replayEngineName(ReplayEngineKind Kind) {
-  switch (Kind) {
-  case ReplayEngineKind::Jit:
-    return "jit";
-  case ReplayEngineKind::Decoded:
-    return "decoded";
-  case ReplayEngineKind::Legacy:
-    return "legacy";
-  }
-  return "?";
-}
 
 ReplayEngine::ReplayEngine(const CompiledProgram &Prog,
                            std::shared_ptr<JitProgram> SharedJit)

@@ -50,16 +50,11 @@ namespace ppd {
 class JitProgram;
 
 /// The replay tier. Jit compiles hot e-blocks to native code with the
-/// decoded engine underneath (warm-up replays, side-exits, unsupported
-/// hosts all run decoded); Decoded is the pre-decoded threaded
-/// interpreter; Legacy is the one-instruction switch reference. All three
-/// produce bit-identical results — tests/jit_test.cpp, interp_test.cpp,
-/// and the fuzz oracle matrix assert it.
-enum class ReplayEngineKind : uint8_t { Jit, Decoded, Legacy };
-
-/// Maps "jit" / "decoded" / "legacy" to the kind; false on anything else.
-bool parseReplayEngine(const std::string &Name, ReplayEngineKind &Kind);
-const char *replayEngineName(ReplayEngineKind Kind);
+/// interpreter underneath (warm-up replays, side-exits and unsupported
+/// hosts all run Decoded); Decoded is the pre-decoded threaded
+/// interpreter. Both produce bit-identical results — tests/jit_test.cpp
+/// and the fuzz oracle matrix assert it, pinning Decoded as the reference.
+enum class ReplayEngineKind : uint8_t { Jit, Decoded };
 
 /// A §5.7 experiment: before the event numbered AtEvent is executed, set
 /// Var (element Index, or -1 for scalars) to Value.

@@ -136,7 +136,6 @@ ParallelReplayer::replayMiss(const ReplayKey &Key,
          "interval index out of range");
   ReplayOptions ROpts;
   ROpts.Overrides = Overrides;
-  ROpts.Engine = Options.Engine;
   std::shared_ptr<const ReplayResult> Result;
   if (Options.Paged) {
     // Paged mode: fault the section in and pin it for exactly the span of

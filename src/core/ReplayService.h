@@ -97,8 +97,6 @@ struct ReplayServiceOptions {
   /// come from the whole-loaded log, as before.
   PagedLog Paged;
 
-  /// The replay tier every miss runs with.
-  ReplayEngineKind Engine = ReplayEngineKind::Jit;
   /// JIT state shared with other replayers of the same program (the
   /// server's per-program JitProgram), so compiled code and hotness
   /// aggregate across sessions. Null: the engine owns a private one.

@@ -10,7 +10,11 @@
 ///
 ///   USED(i)    = variables that may be read by E_i before being written —
 ///                the prelog contents. Computed as upward-exposed reads by
-///                a backward fixpoint restricted to the region.
+///                a backward fixpoint restricted to the region. Leaving the
+///                region reads DEFINED's private variables (the postlog
+///                captures them), so one that some path leaves unwritten
+///                — a param assigned on one branch — is in USED: replay
+///                needs its entry value to reproduce the postlog.
 ///   DEFINED(i) = variables that may be written by E_i — the postlog
 ///                contents. A simple union over the region.
 ///
@@ -85,9 +89,17 @@ computeUsedDefined(const Program &P, const SymbolTable &Symbols, const Cfg &G,
     }
   }
 
+  // What the postlog reads on leaving the region. Shared variables are
+  // left out: their logged final value may postdate this process's last
+  // write, so replay neither reproduces nor verifies it.
+  Set PostlogReads;
+  for (unsigned V : Result.Defined.toVector())
+    if (!Symbols.var(VarId(V)).isShared())
+      PostlogReads.insert(VarId(V));
+
   // Backward fixpoint for upward-exposed reads:
-  //   Exposed(n) = Reads(n) ∪ (∪_{s∈succ(n)∩region} Exposed(s)) −
-  //                StrongKills(n)
+  //   Exposed(n) = Reads(n) ∪ (∪_{s∈succ(n)} Out(s)) − StrongKills(n)
+  //   Out(s)     = Exposed(s) inside the region, PostlogReads outside
   // Note reads of n happen before n's own writes, so Reads(n) is added
   // after subtracting kills.
   std::vector<Set> Exposed(G.size());
@@ -102,8 +114,8 @@ computeUsedDefined(const Program &P, const SymbolTable &Symbols, const Cfg &G,
         continue;
       Set NewExposed;
       for (const CfgSucc &Succ : G.node(Node).Succs)
-        if (InRegion[Succ.Node])
-          NewExposed.unionWith(Exposed[Succ.Node]);
+        NewExposed.unionWith(InRegion[Succ.Node] ? Exposed[Succ.Node]
+                                                 : PostlogReads);
       NewExposed.subtract(StrongKills[Node]);
       NewExposed.unionWith(Reads[Node]);
       if (!(NewExposed == Exposed[Node])) {

@@ -102,25 +102,13 @@ bool ParallelDynamicGraph::finalize() {
   for (const std::vector<SyncNode> &ProcNodes : Nodes)
     NumNodes += ProcNodes.size();
   BySeq.assign(NumNodes, SyncNodeRef());
-  auto Reject = [this] {
-    for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid) {
-      Nodes[Pid].clear();
-      Edges[Pid].clear();
-    }
-    BySeq.clear();
-    FinalizeWatermark = 0;
-    return false;
-  };
   if (!Sound)
-    return Reject();
+    return reject();
   for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
     for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx) {
       const SyncNode &N = Nodes[Pid][Idx];
-      if (N.Kind > SyncKind::Stopped || N.Seq >= NumNodes ||
-          BySeq[N.Seq].valid() ||
-          (Idx > 0 && N.Seq <= Nodes[Pid][Idx - 1].Seq) ||
-          (N.PartnerSeq != NoPartner && N.PartnerSeq >= N.Seq))
-        return Reject();
+      if (N.Seq >= NumNodes || BySeq[N.Seq].valid() || !nodeOrdered(Pid, Idx))
+        return reject();
       BySeq[N.Seq] = {Pid, Idx};
     }
 
@@ -145,7 +133,26 @@ bool ParallelDynamicGraph::finalize() {
   return true;
 }
 
-void ParallelDynamicGraph::finalizeTail() {
+bool ParallelDynamicGraph::nodeOrdered(uint32_t Pid, uint32_t Idx) const {
+  const SyncNode &N = Nodes[Pid][Idx];
+  return N.Kind <= SyncKind::Stopped &&
+         (Idx == 0 || N.Seq > Nodes[Pid][Idx - 1].Seq) &&
+         (N.PartnerSeq == NoPartner || N.PartnerSeq < N.Seq);
+}
+
+bool ParallelDynamicGraph::reject() {
+  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid) {
+    Nodes[Pid].clear();
+    Edges[Pid].clear();
+  }
+  BySeq.clear();
+  FinalizeWatermark = 0;
+  return false;
+}
+
+bool ParallelDynamicGraph::finalizeTail() {
+  if (!Sound)
+    return reject();
   // Zero-extend already-finalized clocks when streaming grew the process
   // count: component p stays 0 for old nodes because none of a
   // later-arriving process's nodes can happen-before a node sealed in an
@@ -156,8 +163,9 @@ void ParallelDynamicGraph::finalizeTail() {
         N.Clock.resize(Nodes.size(), 0);
 
   // Extend the seq lookup and register the appended nodes (empty clock =
-  // not yet finalized). Their seqs all land at or past the watermark —
-  // the ingest session rejects anything else before it applies.
+  // not yet finalized), each under finalize()'s O(1) checks. Their seqs
+  // all land at or past the watermark, bounded by the cut — the ingest
+  // session rejects anything else before it applies.
   uint64_t MaxSeq = BySeq.empty() ? 0 : uint64_t(BySeq.size()) - 1;
   for (const std::vector<SyncNode> &ProcNodes : Nodes)
     for (const SyncNode &N : ProcNodes)
@@ -165,9 +173,14 @@ void ParallelDynamicGraph::finalizeTail() {
   if (BySeq.size() < size_t(MaxSeq) + 1)
     BySeq.resize(size_t(MaxSeq) + 1);
   for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
-    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx)
-      if (Nodes[Pid][Idx].Clock.empty())
-        BySeq[Nodes[Pid][Idx].Seq] = {Pid, Idx};
+    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx) {
+      const SyncNode &N = Nodes[Pid][Idx];
+      if (!N.Clock.empty())
+        continue;
+      if (BySeq[N.Seq].valid() || !nodeOrdered(Pid, Idx))
+        return reject();
+      BySeq[N.Seq] = {Pid, Idx};
+    }
 
   // Same clock step as finalize(), resumed at the watermark: processing
   // in global seq order is still a topological order, and every
@@ -188,16 +201,15 @@ void ParallelDynamicGraph::finalizeTail() {
       N.Clock.resize(Nodes.size(), 0);
     }
     if (N.PartnerSeq != NoPartner) {
-      assert(N.PartnerSeq < BySeq.size() && BySeq[N.PartnerSeq].valid() &&
-             "dangling partner sequence");
+      assert(BySeq[N.PartnerSeq].valid() && "dangling partner sequence");
       const SyncNode &Partner = node(BySeq[N.PartnerSeq]);
-      assert(!Partner.Clock.empty() && "partner processed after dependent");
       for (size_t I = 0; I != Partner.Clock.size(); ++I)
         N.Clock[I] = std::max(N.Clock[I], Partner.Clock[I]);
     }
     N.Clock[Ref.Pid] = Ref.Index + 1;
   }
   FinalizeWatermark = BySeq.size();
+  return true;
 }
 
 std::vector<EdgeRef> ParallelDynamicGraph::allEdges() const {

@@ -123,7 +123,11 @@ public:
   /// identical to a batch build over the same records.
   void appendProcess(uint32_t Pid, const ProcessLog &PL,
                      uint32_t FromRecord);
-  void finalizeTail();
+  /// Checks the appended nodes as finalize() checks every node (kind in
+  /// range, seq increasing per process, partner earlier than dependent,
+  /// READ/WRITE ids in range) and closes their clocks. On a violation it
+  /// empties the graph, like finalize(), and returns false.
+  bool finalizeTail();
 
   /// True when a finalized node with global sequence number \p Seq
   /// exists — the ingest session's partner-validation primitive.
@@ -199,8 +203,14 @@ private:
   /// here. Every batch finalize() leaves it at BySeq.size().
   uint64_t FinalizeWatermark = 0;
   /// Cleared by appendProcess on a READ/WRITE id outside the shared
-  /// segment; finalize() then rejects the graph.
+  /// segment; finalize() and finalizeTail() then reject the graph.
   bool Sound = true;
+
+  /// finalize()'s per-node rules that need no seq table: kind in range,
+  /// seq above the process's previous node, partner seq below its own.
+  bool nodeOrdered(uint32_t Pid, uint32_t Idx) const;
+  /// Empties every process and the seq table; returns false.
+  bool reject();
 };
 
 } // namespace ppd

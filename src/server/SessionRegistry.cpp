@@ -75,7 +75,6 @@ uint64_t SessionRegistry::open(uint32_t ProgramIndex) {
   COpts.Service.SharedCache = Entry.Cache;
   COpts.Service.SharedFlights = Entry.Flights;
   COpts.Service.SharedPool = ReplayPool.get();
-  COpts.Service.Engine = Options.Engine;
   COpts.Service.SharedJit = Entry.Jit;
 
   auto S = std::make_shared<Session>();

@@ -56,8 +56,6 @@ struct SessionRegistryOptions {
   /// Replay workers shared by all sessions (0 = replay inline on the
   /// request thread, deterministic per request).
   unsigned ReplayThreads = 0;
-  /// Replay tier every session runs with.
-  ReplayEngineKind Engine = ReplayEngineKind::Jit;
   /// Byte budget of the buffer pool shared by every paged program whose
   /// PagedLog arrives without a pool of its own.
   size_t PoolBudget = size_t(256) << 20;

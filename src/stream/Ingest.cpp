@@ -384,7 +384,8 @@ std::string IngestRegistry::applyCut(IngestStream &S) {
       return "malformed interval structure";
     S.Graph.appendProcess(E.first, S.Accum.Procs[E.first], E.second);
   }
-  S.Graph.finalizeTail();
+  if (!S.Graph.finalizeTail())
+    return "malformed synchronization records";
   if (!NewSeqs.empty())
     S.NextSeqFloor = *NewSeqs.rbegin() + 1;
   return {};

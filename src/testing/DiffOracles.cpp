@@ -48,7 +48,6 @@ struct Observed {
   RunResult Result;
   std::vector<int64_t> Shared;
   std::vector<OutputRecord> Output;
-  std::vector<TraceBuffer> Traces;
   std::vector<std::vector<int64_t>> Privates;
   std::vector<uint8_t> Statuses;
   ExecutionLog Log;
@@ -60,7 +59,6 @@ Observed runOnce(const CompiledProgram &Prog, const MachineOptions &Opts) {
   Obs.Result = M.run();
   Obs.Shared = M.sharedMemory();
   Obs.Output = M.output();
-  Obs.Traces = M.traces();
   for (const Process &P : M.processes()) {
     Obs.Privates.push_back(P.PrivateGlobals);
     Obs.Statuses.push_back(uint8_t(P.Status));
@@ -157,25 +155,6 @@ std::string cmpRunPair(const Observed &A, const Observed &B,
     if (auto D = cmpI64Vec("private globals", A.Privates[P], B.Privates[P]);
         !D.empty())
       return "pid " + std::to_string(P) + ": " + D;
-  return {};
-}
-
-std::string cmpTraces(const std::vector<TraceBuffer> &A,
-                      const std::vector<TraceBuffer> &B) {
-  if (A.size() != B.size())
-    return "trace count " + std::to_string(A.size()) + " vs " +
-           std::to_string(B.size());
-  for (size_t P = 0; P != A.size(); ++P) {
-    const auto &EA = A[P].Events, &EB = B[P].Events;
-    if (EA.size() != EB.size())
-      return "pid " + std::to_string(P) + " event count " +
-             std::to_string(EA.size()) + " vs " + std::to_string(EB.size());
-    for (size_t I = 0; I != EA.size(); ++I)
-      if (!(EA[I] == EB[I]))
-        return "pid " + std::to_string(P) + " event " + std::to_string(I) +
-               " differs (stmt s" + std::to_string(EA[I].Stmt) + " vs s" +
-               std::to_string(EB[I].Stmt) + ")";
-  }
   return {};
 }
 
@@ -449,39 +428,25 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
 
   const MachineOptions Base = baseOptions(SchedSeed, Quantum, Config);
 
-  //===--- engine/*: decoded vs legacy interpreter, per mode -------------===//
-  const RunMode Modes[3] = {RunMode::Plain, RunMode::Logging,
-                            RunMode::FullTrace};
-  const char *ModeNames[3] = {"plain", "logging", "fulltrace"};
-  Observed Runs[3][2]; // [mode][0 = decoded, 1 = legacy]
-  for (int M = 0; M != 3; ++M)
-    for (int E = 0; E != 2; ++E) {
-      MachineOptions Opts = Base;
-      Opts.Mode = Modes[M];
-      Opts.UseDecoded = E == 0;
-      Runs[M][E] = runOnce(*Prog, Opts);
-    }
-  for (int M = 0; M != 3; ++M) {
-    if (auto D = cmpRunPair(Runs[M][0], Runs[M][1], /*CompareSteps=*/true);
-        !D.empty())
-      return Fail(std::string("engine/") + ModeNames[M], D);
-    if (auto D = cmpLogs(Runs[M][0].Log, Runs[M][1].Log); !D.empty())
-      return Fail(std::string("engine/") + ModeNames[M] + "-log", D);
-  }
-  if (auto D = cmpTraces(Runs[2][0].Traces, Runs[2][1].Traces); !D.empty())
-    return Fail("engine/fulltrace-traces", D);
-
   //===--- mode/*: instrumentation must not perturb execution ------------===//
   // Plain and Logging share the object chunk: identical interleavings,
   // identical everything. FullTrace runs the emulation chunk, which shifts
   // preemption points — strict comparison only for single-process runs.
-  if (auto D = cmpRunPair(Runs[0][0], Runs[1][0], /*CompareSteps=*/true);
+  Observed Runs[3];
+  const RunMode Modes[3] = {RunMode::Plain, RunMode::Logging,
+                            RunMode::FullTrace};
+  for (int M = 0; M != 3; ++M) {
+    MachineOptions Opts = Base;
+    Opts.Mode = Modes[M];
+    Runs[M] = runOnce(*Prog, Opts);
+  }
+  if (auto D = cmpRunPair(Runs[0], Runs[1], /*CompareSteps=*/true);
       !D.empty())
     return Fail("mode/plain-vs-logging", D);
-  const Observed &Ref = Runs[1][0]; // the decoded Logging run.
+  const Observed &Ref = Runs[1]; // the Logging run.
   const ExecutionLog &L = Ref.Log;
   if (L.Procs.size() == 1)
-    if (auto D = cmpRunPair(Ref, Runs[2][0], /*CompareSteps=*/false);
+    if (auto D = cmpRunPair(Ref, Runs[2], /*CompareSteps=*/false);
         !D.empty())
       return Fail("mode/logging-vs-fulltrace", D);
 
@@ -591,7 +556,7 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
   Report.RaceFree = Naive.Races.empty();
   Report.Races = unsigned(Naive.Races.size());
 
-  //===--- replay/*: serial engines, memoized, parallel, cached ----------===//
+  //===--- replay/*: JIT vs interpreter, memoized, parallel, cached -----===//
   LogIndex Index(L);
   std::vector<ParallelReplayer::IntervalRef> Refs;
   for (uint32_t P = 0; P != L.Procs.size(); ++P)
@@ -615,17 +580,10 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
   Reference.reserve(Refs.size());
   for (const auto &[P, IVIdx] : Refs) {
     const LogInterval &IV = Index.intervals(P)[IVIdx];
-    ReplayOptions Dec, Leg, Jit;
+    ReplayOptions Dec;
     Dec.Engine = ReplayEngineKind::Decoded;
-    Leg.Engine = ReplayEngineKind::Legacy;
-    Jit.Engine = ReplayEngineKind::Jit;
     ReplayResult RD = Engine.replay(L, P, IV, Dec);
-    ReplayResult RL = Engine.replay(L, P, IV, Leg);
-    ReplayResult RJ = JitEngine.replay(L, P, IV, Jit);
-    if (auto D = cmpReplay(RD, RL); !D.empty())
-      return Fail("replay/engines", "pid " + std::to_string(P) +
-                                        " interval " + std::to_string(IVIdx) +
-                                        ": " + D);
+    ReplayResult RJ = JitEngine.replay(L, P, IV);
     if (auto D = cmpReplay(RD, RJ); !D.empty())
       return Fail("replay/jit", "pid " + std::to_string(P) + " interval " +
                                     std::to_string(IVIdx) + ": " + D);

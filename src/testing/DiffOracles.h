@@ -7,49 +7,53 @@
 /// \file
 /// The oracle half of the fuzzing harness: run one PPL program through
 /// every redundant pipeline pair the repository maintains and demand they
-/// agree. PPD is unusually rich in internal redundancy — two interpreters
-/// per run mode, two log formats, three replay paths, two race-detection
-/// algorithms, a direct and a framed debugging interface — and every such
-/// pair is a free differential oracle: no hand-written expected outputs,
-/// just "these two must match".
+/// agree. Each pair is an independent specification of the same answer —
+/// instrumented vs plain execution, the JIT vs the replay interpreter,
+/// replay vs the postlogs the machine logged, three race algorithms plus a
+/// brute-force recheck, the in-memory log vs the paged store, the direct
+/// vs the framed debugging interface, the batch log vs a live stream — so
+/// no hand-written expected outputs are needed, just "these two must
+/// match".
 ///
 /// The oracle matrix (see DESIGN.md §9):
 ///
-///   engine/*    decoded vs legacy interpreter, per run mode: outcome,
-///               steps, error, shared memory, output, logs, traces.
 ///   mode/*      Plain vs Logging (always comparable: instrumentation
-///               must not perturb execution), Logging vs FullTrace for
-///               single-process programs (the emulation chunk shifts
-///               preemption points, so multi-process interleavings may
-///               legitimately differ).
+///               must not perturb execution): outcome, steps, error,
+///               shared memory, output, process state. Logging vs
+///               FullTrace for single-process programs (the emulation
+///               chunk shifts preemption points, so multi-process
+///               interleavings may legitimately differ).
 ///   log/*       save → load → re-save: loaded records equal
 ///               the originals field-by-field, re-saved bytes equal the
 ///               first save byte-for-byte, interval index identical.
-///   replay/*    serial decoded vs serial legacy replay per interval, vs
-///               the memoized ParallelReplayer (serial, parallel getMany,
-///               and cache re-read); on race-free instances, closed
-///               intervals must verify their postlogs exactly.
-///   race/*      NaiveAllPairs vs VarIndexed vs an independent
-///               BFS-reachability recheck built here from the raw log.
-///   flowback/*  every read in every traced interval must have a data
-///               in-edge, and edges from singular writers must carry the
-///               value actually read (semantic truth, not a re-run of the
-///               builder's own algorithm).
+///   race/*      NaiveAllPairs vs VarIndexed vs Vectorized, and all three
+///               vs an independent BFS-reachability recheck built here
+///               from the raw log.
+///   replay/*    per interval, the JIT tier (hot from the first replay)
+///               vs the interpreter pinned as reference; on race-free
+///               instances every closed interval must verify its postlog
+///               exactly (replay re-derives what the machine logged); the
+///               memoized ParallelReplayer (serial, cache re-read,
+///               parallel getMany) vs the direct replays.
+///   paged/*     the saved file re-opened as a PageStore: skim-built index
+///               vs decoded index, and a session over a pooled controller
+///               (seed-randomized, often starved buffer-pool budget) vs
+///               one over the in-memory log.
 ///   deadlock/*  a Deadlock outcome must produce a coherent wait-for
 ///               report over exactly the blocked processes.
 ///   server/*    a scripted DebugSession vs the same script through
 ///               DebugServer::handleFrame on a re-run of the same
 ///               program (machine determinism makes the logs identical).
-///   paged/*     the whole-load session vs a pooled session over the same
-///               v2 file under a seed-randomized (often starved) buffer
-///               pool budget, plus skim-index-vs-decoded-index equality.
 ///   stream/*    a re-run streamed as consistent cuts (seed-randomized
 ///               section threshold, down to one record) into the ingest
 ///               registry: the final frontier must equal the batch log
-///               bit-for-bit as v2, and sampled mid-run frontiers must
-///               answer tail queries exactly like a batch controller
-///               over the same prefix (incremental index/graph append =
-///               rebuild, prefix-closedness of live answers).
+///               record-for-record and byte-for-byte once saved, and
+///               sampled mid-run frontiers must answer tail queries
+///               exactly like a batch controller over the same prefix.
+///   flowback/*  every read in every traced interval must have a data
+///               in-edge, and edges from singular writers must carry the
+///               value actually read (semantic truth, not a re-run of the
+///               builder's own algorithm).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +67,7 @@ namespace ppd::testing {
 
 struct DiffConfig {
   /// Step budget per machine run; generated programs terminate well under
-  /// this, so hitting it is itself reported by the engine oracle.
+  /// this.
   uint64_t MaxSteps = 2'000'000;
   /// Worker threads for the parallel-replay comparison.
   unsigned ReplayThreads = 2;
@@ -87,11 +91,11 @@ struct DiffConfig {
 /// The verdict of one differential run.
 struct DiffReport {
   bool Divergent = false;
-  /// Stable oracle name ("engine/logging", "log/resave", ...): the
+  /// Stable oracle name ("mode/plain-vs-logging", "log/resave", ...): the
   /// minimizer preserves it so shrinking cannot wander to a different bug.
   std::string Oracle;
   std::string Detail;
-  /// Reference-run facts (the decoded Logging run), for harness stats.
+  /// Reference-run facts (the Logging run), for harness stats.
   int Outcome = 0; ///< RunResult::Status as int.
   bool RaceFree = true;
   unsigned Races = 0;

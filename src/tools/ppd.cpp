@@ -72,7 +72,6 @@ struct CliOptions {
   std::vector<uint32_t> BreakLines;
   unsigned ReplayThreads = 0;
   bool Prefetch = false;
-  std::string ReplayEngine = "jit";
 
   // paged log tier (debug/serve)
   size_t PoolBudget = 0; ///< 0 = PPD_POOL_BUDGET env, else 256 MiB.
@@ -161,9 +160,6 @@ options:
                         (default 0 = serial)
   --prefetch            (debug) warm neighboring intervals in the
                         background after each query
-  --replay-engine E     (debug/serve) jit (default) | decoded | legacy;
-                        all three regenerate bit-identical traces; jit
-                        degrades to decoded where unavailable
   --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for paged
                         logs (default 256m; the PPD_POOL_BUDGET env var
                         overrides the default, the flag overrides both)
@@ -484,11 +480,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.ReplayThreads = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--prefetch") {
       Opts.Prefetch = true;
-    } else if (Arg == "--replay-engine") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.ReplayEngine = V;
     } else if (Arg == "--runs") {
       const char *V = Next();
       if (!V)
@@ -572,26 +563,11 @@ int cmdCompile(const CliOptions &Opts) {
   return 0;
 }
 
-/// Resolves --replay-engine; prints the error and returns false on an
-/// unknown name (callers exit 64, matching --race-strategy).
-bool resolveReplayEngine(const CliOptions &Opts, ReplayEngineKind &Kind) {
-  if (parseReplayEngine(Opts.ReplayEngine, Kind))
-    return true;
-  std::fprintf(stderr, "error: unknown replay engine '%s' (expected jit, "
-                       "decoded, or legacy)\n",
-               Opts.ReplayEngine.c_str());
-  return false;
-}
-
 MachineOptions machineOptions(const CliOptions &Opts,
                               const CompiledProgram &Prog) {
   MachineOptions MOpts;
   MOpts.Seed = Opts.Seed;
   MOpts.Quantum = Opts.Quantum;
-  // The legacy replay tier pairs with the legacy run-phase interpreter,
-  // so `--replay-engine legacy` exercises the reference path end to end.
-  if (Opts.ReplayEngine == "legacy")
-    MOpts.UseDecoded = false;
   MOpts.ProcessInputs = Opts.Inputs;
   if (Opts.Mode == "plain")
     MOpts.Mode = RunMode::Plain;
@@ -811,9 +787,6 @@ int cmdRaces(const CliOptions &Opts) {
 //===----------------------------------------------------------------------===//
 
 int cmdDebug(const CliOptions &Opts) {
-  ReplayEngineKind Engine;
-  if (!resolveReplayEngine(Opts, Engine))
-    return 64;
   auto Prog = compileFile(Opts);
   if (!Prog)
     return 1;
@@ -821,7 +794,6 @@ int cmdDebug(const CliOptions &Opts) {
   PpdControllerOptions COpts;
   COpts.Service.Threads = Opts.ReplayThreads;
   COpts.Service.Prefetch = Opts.Prefetch;
-  COpts.Service.Engine = Engine;
 
   // A --log file opens paged: mmap the store, adopt (or rebuild) the
   // .ppdb sidecar, and let queries fault sections in through the pool.
@@ -874,16 +846,12 @@ int cmdServe(const CliOptions &Opts) {
                  "HOST:PORT\n");
     return 64;
   }
-  ReplayEngineKind Engine;
-  if (!resolveReplayEngine(Opts, Engine))
-    return 64;
   DebugServerOptions SOpts;
   SOpts.Threads = Opts.ServerThreads;
   SOpts.QueueLimit = Opts.QueueLimit;
   SOpts.TimeoutMs = Opts.TimeoutMs;
   SOpts.Registry.MaxSessions = Opts.MaxSessions;
   SOpts.Registry.ReplayThreads = Opts.ReplayThreads;
-  SOpts.Registry.Engine = Engine;
   SOpts.Registry.PoolBudget = effectivePoolBudget(Opts);
   DebugServer Server(SOpts);
 

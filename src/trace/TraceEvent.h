@@ -68,6 +68,10 @@ struct TraceEvent {
   SmallVec<int64_t, 2> Args;
   SmallVec<TraceAccess, 2> Reads;
   SmallVec<TraceAccess, 1> Writes;
+  /// Call events (CallBegin/CallSkipped): how many reads the calling
+  /// statement's event had recorded when the call began. Its later reads
+  /// happen after the callee returns, so they see the callee's writes.
+  uint32_t CallerReads = 0;
   /// Predicate outcome: set for if/while/for condition events.
   bool IsPredicate = false;
   bool BranchTaken = false;
@@ -91,6 +95,10 @@ struct TraceEvent {
 class TraceBuffer {
 public:
   std::vector<TraceEvent> Events;
+  /// Log positions of the synchronization records the trace passed, in
+  /// order (those inside skipped nested calls too). Two events lie on the
+  /// same internal edge (§6.2) iff none falls between their LogCursors.
+  std::vector<uint32_t> SyncRecords;
 
   TraceEvent &append(TraceEvent Event) {
     Event.Index = uint32_t(Events.size());
@@ -111,7 +119,7 @@ public:
     size_t Size = 0;
     for (const TraceEvent &E : Events)
       Size += E.byteSize();
-    return Size;
+    return Size + 4 * SyncRecords.size();
   }
 };
 

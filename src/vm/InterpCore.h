@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The side-effect-free evaluation kernels shared by every interpreter in
-/// the system: the VM's legacy switch engine, its decoded fast path, and
-/// the replay engine's emulation interpreter (legacy and decoded). The
+/// The side-effect-free evaluation kernels shared by both interpreters in
+/// the system: the VM's (Machine::runSlice) and the replay engine's
+/// emulation interpreter (Replayer::runDecoded). The
 /// paper's correctness story requires the execution phase and the
 /// debugging phase to compute bit-identical values; routing comparisons,
 /// builtins, and integer sqrt through one set of inline kernels makes

@@ -1279,11 +1279,6 @@ std::shared_ptr<JitProgram> JitProgram::create(const CompiledProgram &Prog,
 #if PPD_JIT_ENABLED
   if (!ExecMemArena::supported())
     return nullptr;
-  // The stencils mirror the decoded streams; a program without usable ones
-  // (hand-assembled tests) has no JIT tier, like it has no decoded tier.
-  for (const CompiledFunction &F : Prog.Funcs)
-    if (F.EmuDecoded.size() != F.Emu.size())
-      return nullptr;
   return std::shared_ptr<JitProgram>(new JitProgram(Prog, Options));
 #else
   (void)Prog;

@@ -166,9 +166,8 @@ struct JitStats {
 /// via SessionRegistry), so hotness and compiles aggregate per program.
 class JitProgram {
 public:
-  /// Null when the backend is compiled out, the host is not x86-64, or
-  /// the program lacks usable decoded emulation streams — callers fall
-  /// back to the decoded tier on null.
+  /// Null when the backend is compiled out or the host is not x86-64 —
+  /// callers fall back to the decoded tier on null.
   static std::shared_ptr<JitProgram> create(const CompiledProgram &Prog,
                                             const JitOptions &Options = {});
 

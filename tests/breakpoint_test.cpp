@@ -48,6 +48,38 @@ TEST(BreakpointTest, HaltsBeforeTheStatementExecutes) {
   EXPECT_EQ(M.sharedMemory()[0], 1);
 }
 
+// The statement transition fires the breakpoint whatever the slice
+// boundaries: at quantum 1 the loop's fused compare-and-branch is split
+// across slices, and the run still stops before line 6 after the same
+// number of steps as at larger quanta.
+TEST(BreakpointTest, HaltsAtTheSameStepAtEveryQuantum) {
+  auto Prog = compileOk("shared int g;\n"
+                        "func main() {\n"
+                        "  int i = 0;\n"
+                        "  for (i = 0; i < 10; i = i + 1)\n"
+                        "    g = g + i;\n"
+                        "  g = 99;\n" // line 6 ← break here
+                        "}\n");
+  ASSERT_TRUE(Prog);
+  StmtId Break = stmtAtLine(*Prog->Ast, 6);
+  uint64_t Steps = 0;
+  for (uint32_t Quantum : {1u, 2u, 3u, 8u}) {
+    MachineOptions MOpts;
+    MOpts.Quantum = Quantum;
+    MOpts.Breakpoints = {Break};
+    Machine M(*Prog, MOpts);
+    RunResult Result = M.run();
+    ASSERT_EQ(int(Result.Outcome), int(RunResult::Status::Breakpoint))
+        << "quantum " << Quantum;
+    EXPECT_EQ(Result.BreakStmt, Break) << "quantum " << Quantum;
+    // The breakpoint halted *before* line 6 executed.
+    EXPECT_EQ(M.sharedMemory()[0], 45) << "quantum " << Quantum;
+    if (Quantum == 1)
+      Steps = Result.Steps;
+    EXPECT_EQ(Result.Steps, Steps) << "quantum " << Quantum;
+  }
+}
+
 TEST(BreakpointTest, StopMarkerWritten) {
   auto Prog = compileOk("func main() { int a = 1; print(a); }");
   MachineOptions MOpts;

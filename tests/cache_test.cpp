@@ -214,6 +214,13 @@ func main() {
 }
 )";
 
+ReplayServiceOptions serviceOptions(unsigned Threads, bool Prefetch = false) {
+  ReplayServiceOptions Options;
+  Options.Threads = Threads;
+  Options.Prefetch = Prefetch;
+  return Options;
+}
+
 struct ServiceFixture {
   Ran R;
   std::unique_ptr<LogIndex> Index;
@@ -264,7 +271,7 @@ TEST(ReplayServiceTest, FingerprintIsOrderSensitiveAndZeroReserved) {
 
 TEST(ReplayServiceTest, GetManyMatchesSerialGets) {
   for (unsigned Threads : {0u, 4u}) {
-    ServiceFixture F({.Threads = Threads});
+    ServiceFixture F(serviceOptions(Threads));
     std::vector<ParallelReplayer::IntervalRef> All;
     for (uint32_t Pid = 0; Pid != F.R.Log.Procs.size(); ++Pid)
       for (const LogInterval &Interval : F.Index->intervals(Pid))
@@ -318,7 +325,7 @@ TEST(ReplayServiceTest, TransitiveIntervalsCoverAncestrySiblingsChildren) {
 }
 
 TEST(ReplayServiceTest, PrefetchWarmsParentAndPrecedingSibling) {
-  ServiceFixture F({.Threads = 2, .Prefetch = true});
+  ServiceFixture F(serviceOptions(2, /*Prefetch=*/true));
   const std::vector<LogInterval> &Intervals = F.Index->intervals(1);
   const LogInterval *Nested = nullptr;
   for (const LogInterval &Interval : Intervals)
@@ -338,17 +345,17 @@ TEST(ReplayServiceTest, PrefetchWarmsParentAndPrecedingSibling) {
 }
 
 TEST(ReplayServiceTest, PrefetchIsInertWithoutWorkersOrOptIn) {
-  ServiceFixture Serial({.Threads = 0, .Prefetch = true});
+  ServiceFixture Serial(serviceOptions(0, /*Prefetch=*/true));
   Serial.Service->prefetchNeighbors(1, 1);
   EXPECT_EQ(Serial.Service->stats().PrefetchesIssued, 0u);
 
-  ServiceFixture NotAsked({.Threads = 2, .Prefetch = false});
+  ServiceFixture NotAsked(serviceOptions(2));
   NotAsked.Service->prefetchNeighbors(1, 1);
   EXPECT_EQ(NotAsked.Service->stats().PrefetchesIssued, 0u);
 }
 
 TEST(ReplayServiceTest, ConcurrentGetsOfOneIntervalReplayOnce) {
-  ServiceFixture F({.Threads = 4});
+  ServiceFixture F(serviceOptions(4));
   constexpr int NumCallers = 8;
   std::vector<std::thread> Callers;
   std::vector<ParallelReplayer::ReplayPtr> Got(NumCallers);
@@ -369,7 +376,10 @@ TEST(ReplayServiceTest, TinyCacheBudgetEvictsButStaysCorrect) {
   // A budget smaller than one trace: each insert evicts its predecessor
   // (never itself), so alternating intervals always re-replay — slower,
   // never wrong.
-  ServiceFixture F({.CacheBytes = 1, .CacheShards = 1});
+  ReplayServiceOptions Tiny;
+  Tiny.CacheBytes = 1;
+  Tiny.CacheShards = 1;
+  ServiceFixture F(Tiny);
   ASSERT_GT(F.Index->intervals(1).size(), 1u);
   auto A = F.Service->get(1, 0);
   F.Service->get(1, 1); // evicts interval 0

@@ -148,6 +148,43 @@ func main() { print(f(1)); }
   EXPECT_FALSE(Has(FBlock->Defined, "p"));
 }
 
+TEST(CompilerTest, MayDefinedPrivateVariablesAreUsed) {
+  // A private variable written on only one branch leaves the e-block
+  // with its entry value on the other, and the postlog captures it: the
+  // prelog must too. A shared one is not replayed to its logged value,
+  // and a variable every path writes first needs no entry value.
+  auto Prog = compileOk(R"(
+shared int sv;
+int pg;
+func f(int p) {
+  int l = 1;
+  if (l > input()) {
+    p = 2;
+    pg = 3;
+    sv = 4;
+  }
+  return l;
+}
+func main() { print(f(1)); }
+)");
+  const FuncDecl *F = Prog->Ast->findFunc("f");
+  const EBlockInfo *FBlock = nullptr;
+  for (const EBlockInfo &E : Prog->EBlocks)
+    if (E.Func == F->Index)
+      FBlock = &E;
+  ASSERT_NE(FBlock, nullptr);
+  auto Has = [&](const std::vector<VarId> &Vars, const char *Name) {
+    for (VarId V : Vars)
+      if (Prog->Symbols->var(V).Name == Name)
+        return true;
+    return false;
+  };
+  EXPECT_TRUE(Has(FBlock->Used, "p"));
+  EXPECT_TRUE(Has(FBlock->Used, "pg"));
+  EXPECT_FALSE(Has(FBlock->Used, "sv"));
+  EXPECT_FALSE(Has(FBlock->Used, "l"));
+}
+
 TEST(CompilerTest, UnitLogPlacedAfterSyncOps) {
   auto Prog = compileOk(R"(
 shared int sv;

@@ -213,6 +213,109 @@ func main() {
   EXPECT_EQ(S.nodesLabelled("g = 5").size(), 1u);
 }
 
+// A read that follows a call inside the same statement happens after the
+// callee returned, so it depends on the callee's write — not on the write
+// before the statement. Skipped (logged) callees stand for their writes
+// with the sub-graph node; inherited callees with their own statement.
+TEST(GraphBuilderTest, ReadAfterCallInSameStatementSeesTheCall) {
+  const char *Source = R"(
+int p;
+func setp(int a) {
+  p = 9;
+  return a;
+}
+func main() {
+  p = -3;
+  int x = setp(1) + p;
+  print(x);
+}
+)";
+  for (bool Inline : {false, true}) {
+    CompileOptions COpts;
+    COpts.EBlocks.LeafInheritance = Inline;
+    Session S(Source, 1, COpts);
+    S.C->startAtLastEvent(0);
+    auto Reader = S.nodesLabelled("int x = ");
+    auto Before = S.nodesLabelled("p = -3");
+    auto Call = S.nodesLabelled(Inline ? "p = 9" : "setp(...)");
+    ASSERT_EQ(Reader.size(), 1u) << "inline " << Inline;
+    ASSERT_EQ(Before.size(), 1u) << "inline " << Inline;
+    ASSERT_EQ(Call.size(), 1u) << "inline " << Inline;
+    EXPECT_TRUE(S.hasDataEdge(Call[0], Reader[0])) << "inline " << Inline;
+    EXPECT_FALSE(S.hasDataEdge(Before[0], Reader[0])) << "inline " << Inline;
+  }
+}
+
+// A process's own write of a shared variable answers its later reads only
+// on the same internal edge: once it synchronizes, another process may
+// overwrite the variable, and the parallel dynamic graph decides.
+TEST(GraphBuilderTest, SharedReadAfterSyncSeesTheOtherProcessWrite) {
+  Session S(R"(
+shared int g;
+sem go;
+sem done;
+func worker() {
+  P(go);
+  g = 2;
+  V(done);
+}
+func main() {
+  spawn worker();
+  g = 1;
+  print(g + 10);
+  V(go);
+  P(done);
+  print(g);
+}
+)");
+  DynNodeId LastPrint = S.C->startAtLastEvent(0);
+  ASSERT_NE(LastPrint, InvalidId);
+  S.C->dependencesOf(LastPrint);
+  auto Own = S.nodesLabelled("g = 1");
+  auto SameEdge = S.nodesLabelled("print(g + 10)");
+  auto Other = S.nodesLabelled("g = 2");
+  ASSERT_EQ(Own.size(), 1u);
+  ASSERT_EQ(SameEdge.size(), 1u);
+  ASSERT_EQ(Other.size(), 1u);
+  EXPECT_TRUE(S.hasDataEdge(Own[0], SameEdge[0]));
+  EXPECT_TRUE(S.hasDataEdge(Other[0], LastPrint));
+  EXPECT_FALSE(S.hasDataEdge(Own[0], LastPrint));
+}
+
+// The same past a skipped call that synchronizes inside: the write's edge
+// begins inside the callee and ends in the caller, which still stands for
+// the write with the unexpanded sub-graph node.
+TEST(GraphBuilderTest, SharedReadAfterSyncFindsTheSkippedCallWrite) {
+  Session S(R"(
+shared int g;
+sem s = 1;
+sem go;
+sem done;
+func f() {
+  P(s);
+  g = 1;
+  return 0;
+}
+func worker() {
+  P(go);
+  V(done);
+}
+func main() {
+  spawn worker();
+  f();
+  V(go);
+  P(done);
+  print(g);
+}
+)");
+  DynNodeId Print = S.C->startAtLastEvent(0);
+  ASSERT_NE(Print, InvalidId);
+  S.C->dependencesOf(Print);
+  auto Call = S.nodesLabelled("f(...)");
+  ASSERT_EQ(Call.size(), 1u);
+  EXPECT_TRUE(S.hasDataEdge(Call[0], Print));
+}
+
 TEST(GraphBuilderTest, PredicateValuesAndBranchLabels) {
   Session S(R"(
 func main() {

@@ -1,24 +1,23 @@
-//===- tests/interp_test.cpp - Decoded vs legacy engine differentials -----===//
+//===- tests/interp_test.cpp - Execution-engine invariants ----------------===//
 //
 // Part of PPD test suite.
 //
-// The execution-engine fast path (pre-decoded stream + threaded dispatch +
-// mode specialization, vm/Machine.cpp runSlice and core/Replay.cpp
-// runDecoded) must be observationally identical to the legacy
-// one-instruction switch interpreters: same step counts, same preemption
-// points, same log records down to the byte, same traces, same failures.
-// This suite drives both engines across the examples/ corpus, many seeds,
-// every run mode, and awkward quanta (quantum 1 splits every fused
-// superinstruction at a budget boundary), and asserts full agreement. A
-// golden hash fixture pins the v2 log bytes of one execution instance so
-// regressions in either engine — or in the log encoder — surface even if
-// both engines drift together.
+// The execution engine (vm/Machine.cpp runSlice: pre-decoded stream,
+// threaded dispatch, mode specialization, fused superinstructions) must
+// charge one step per source instruction and preempt between the two
+// halves of a fused pair exactly where the budget runs out. A
+// single-process run has no interleaving to change, so its step count,
+// output and log bytes must not depend on the quantum at all — quantum 1
+// splits every fused pair, 64 splits almost none. The run modes must agree
+// on what the program computes, and a golden hash fixture pins the v2 log
+// bytes of one multi-process execution instance so a change to the
+// engine's schedule or to the log encoder surfaces even when every
+// self-consistency check still holds.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
-#include "core/Replay.h"
 #include "log/LogIO.h"
 
 #include <cstdio>
@@ -46,20 +45,11 @@ std::string readCorpusFile(const std::string &Name) {
   return Out.str();
 }
 
-StmtId stmtAtLine(const Program &P, unsigned Line) {
-  for (StmtId Id = 0; Id != P.numStmts(); ++Id)
-    if (P.stmt(Id)->getLoc().Line == Line && !isa<BlockStmt>(P.stmt(Id)))
-      return Id;
-  ADD_FAILURE() << "no statement at line " << Line;
-  return InvalidId;
-}
-
 /// Everything externally observable about one machine run.
 struct Observed {
   RunResult Result;
   std::vector<int64_t> Shared;
   std::vector<OutputRecord> Output;
-  std::vector<TraceBuffer> Traces;
   ExecutionLog Log;
 };
 
@@ -68,7 +58,6 @@ Observed runOnce(const CompiledProgram &Prog, const MachineOptions &MOpts) {
   Observed Out;
   Out.Result = M.run();
   Out.Shared = M.sharedMemory();
-  Out.Traces = M.traces();
   Out.Log = M.takeLog();
   Out.Output = Out.Log.Output;
   return Out;
@@ -83,26 +72,6 @@ void expectSameOutput(const std::vector<OutputRecord> &A,
     EXPECT_EQ(A[I].Value, B[I].Value) << Label << " output " << I;
     EXPECT_EQ(A[I].Stmt, B[I].Stmt) << Label << " output " << I;
   }
-}
-
-/// Decoded and legacy must agree on *everything*, including step counts
-/// and traces — they interleave identically because preemption points are
-/// preserved across fusion.
-void expectEnginesAgree(const Observed &D, const Observed &L,
-                        const std::string &Label) {
-  EXPECT_EQ(int(D.Result.Outcome), int(L.Result.Outcome)) << Label;
-  EXPECT_EQ(D.Result.Steps, L.Result.Steps) << Label;
-  EXPECT_EQ(int(D.Result.Error.Kind), int(L.Result.Error.Kind)) << Label;
-  EXPECT_EQ(D.Result.Error.Pid, L.Result.Error.Pid) << Label;
-  EXPECT_EQ(D.Result.Error.Stmt, L.Result.Error.Stmt) << Label;
-  EXPECT_EQ(D.Result.BreakPid, L.Result.BreakPid) << Label;
-  EXPECT_EQ(D.Result.BreakStmt, L.Result.BreakStmt) << Label;
-  EXPECT_EQ(D.Shared, L.Shared) << Label;
-  expectSameOutput(D.Output, L.Output, Label);
-  ASSERT_EQ(D.Traces.size(), L.Traces.size()) << Label;
-  for (size_t P = 0; P != D.Traces.size(); ++P)
-    EXPECT_TRUE(D.Traces[P].Events == L.Traces[P].Events)
-        << Label << " trace of pid " << P;
 }
 
 std::vector<uint8_t> v2Bytes(const ExecutionLog &Log, const char *Tag) {
@@ -123,41 +92,29 @@ uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
   return Hash;
 }
 
-// The ISSUE acceptance differential: across seeds and the whole corpus,
-// the fast path and the legacy engine agree in every mode, and the three
-// modes agree with each other on the externally visible outcome (shared
-// memory, outputs, failure). Mode-dependent fields (logs, traces) are
-// compared engine-vs-engine above, not mode-vs-mode.
-TEST(InterpTest, EnginesAgreeAcrossSeedsAndModes) {
+// Instrumentation must not change what the program computes, across
+// seeds and the whole corpus. Plain and Logging run the same object chunk,
+// so the interleaving matches exactly. FullTrace runs the emulation chunk,
+// whose extra trace instructions shift preemption boundaries — the probe
+// effect — so for the racy program only the outcome kind is comparable,
+// not the (race-dependent) final state.
+TEST(InterpTest, ModesAgreeAcrossSeeds) {
   const RunMode Modes[] = {RunMode::Plain, RunMode::Logging,
                            RunMode::FullTrace};
   for (const char *Name : Corpus) {
     auto Prog = compileOk(readCorpusFile(Name));
     ASSERT_TRUE(Prog);
+    bool Racy = std::string(Name) == "bank_race.ppl";
     for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
       Observed PerMode[3];
       for (int M = 0; M != 3; ++M) {
-        MachineOptions Decoded;
-        Decoded.Seed = Seed;
-        Decoded.Mode = Modes[M];
-        Decoded.UseDecoded = true;
-        MachineOptions Legacy = Decoded;
-        Legacy.UseDecoded = false;
-        std::string Label = std::string(Name) + " seed " +
-                            std::to_string(Seed) + " mode " +
-                            std::to_string(M);
-        Observed D = runOnce(*Prog, Decoded);
-        Observed L = runOnce(*Prog, Legacy);
-        expectEnginesAgree(D, L, Label);
-        PerMode[M] = std::move(D);
+        MachineOptions MOpts;
+        MOpts.Seed = Seed;
+        MOpts.Mode = Modes[M];
+        PerMode[M] = runOnce(*Prog, MOpts);
       }
-      // Cross-mode: instrumentation must not change what the program
-      // computes. Plain and Logging run the same object chunk, so the
-      // interleaving matches exactly. FullTrace runs the emulation chunk,
-      // whose extra trace instructions shift preemption boundaries — the
-      // probe effect — so for the racy program only the outcome kind is
-      // comparable, not the (race-dependent) final state.
-      bool Racy = std::string(Name) == "bank_race.ppl";
+      EXPECT_EQ(PerMode[0].Result.Steps, PerMode[1].Result.Steps)
+          << Name << " seed " << Seed;
       for (int M = 1; M != 3; ++M) {
         std::string Label = std::string(Name) + " seed " +
                             std::to_string(Seed) + " mode 0 vs " +
@@ -177,38 +134,45 @@ TEST(InterpTest, EnginesAgreeAcrossSeedsAndModes) {
   }
 }
 
-// Quantum 1 forces a preemption check between the two halves of every
-// fused superinstruction; 2 and 3 land the boundary on every possible
-// phase. The v2 log must still be bit-identical to the legacy engine's.
-TEST(InterpTest, V2LogBytesBitIdenticalAcrossQuanta) {
-  const uint32_t Quanta[] = {1, 2, 3, 8};
+// A single process runs the same instructions whatever the quantum: only
+// the slice boundaries move. Quantum 1 ends a slice between the halves of
+// every fused superinstruction (the compare runs alone, pushes its result,
+// and the branch runs from its own slot next slice); 2, 3 and 5 land the
+// boundary on every phase; 64 rarely splits at all. Steps, output and the
+// v2 log bytes must be identical across all of them.
+TEST(InterpTest, SingleProcessRunIsQuantumInvariant) {
+  const uint32_t Quanta[] = {1, 2, 3, 5, 8, 64};
+  unsigned Checked = 0;
   for (const char *Name : Corpus) {
     auto Prog = compileOk(readCorpusFile(Name));
     ASSERT_TRUE(Prog);
+    MachineOptions MOpts;
+    MOpts.Mode = RunMode::Logging;
+    MOpts.Quantum = Quanta[0];
+    Observed First = runOnce(*Prog, MOpts);
+    if (First.Log.Procs.size() != 1)
+      continue;
+    ++Checked;
+    std::vector<uint8_t> FirstBytes = v2Bytes(First.Log, "quantum1");
     for (uint32_t Quantum : Quanta) {
-      MachineOptions Decoded;
-      Decoded.Seed = 7;
-      Decoded.Mode = RunMode::Logging;
-      Decoded.Quantum = Quantum;
-      Decoded.UseDecoded = true;
-      MachineOptions Legacy = Decoded;
-      Legacy.UseDecoded = false;
-      Observed D = runOnce(*Prog, Decoded);
-      Observed L = runOnce(*Prog, Legacy);
+      MOpts.Quantum = Quantum;
+      Observed O = runOnce(*Prog, MOpts);
       std::string Label =
           std::string(Name) + " quantum " + std::to_string(Quantum);
-      expectEnginesAgree(D, L, Label);
-      EXPECT_EQ(v2Bytes(D.Log, "decoded"), v2Bytes(L.Log, "legacy"))
-          << Label;
+      EXPECT_EQ(int(O.Result.Outcome), int(First.Result.Outcome)) << Label;
+      EXPECT_EQ(O.Result.Steps, First.Result.Steps) << Label;
+      expectSameOutput(O.Output, First.Output, Label);
+      EXPECT_EQ(v2Bytes(O.Log, "quantumN"), FirstBytes) << Label;
     }
   }
+  EXPECT_EQ(Checked, 2u) << "crash.ppl and fig41.ppl are single-process";
 }
 
 // Golden fixture: the v2 log bytes of one pinned execution instance,
-// hashed. Catches silent lockstep drift of both engines (the differential
-// above can't) and any accidental change to the log encoding. If a
-// *deliberate* format or instrumentation change lands, re-pin the constant
-// from the test's failure message.
+// hashed. Catches a change to the schedule (preemption points, sync
+// sequence numbers) or to the log encoding that every self-consistency
+// check above would miss. If a *deliberate* format or instrumentation
+// change lands, re-pin the constant from the test's failure message.
 TEST(InterpTest, GoldenV2LogFixture) {
   auto Prog = compileOk(readCorpusFile("bounded_buffer.ppl"));
   ASSERT_TRUE(Prog);
@@ -216,96 +180,11 @@ TEST(InterpTest, GoldenV2LogFixture) {
   MOpts.Seed = 3;
   MOpts.Mode = RunMode::Logging;
   MOpts.Quantum = 3;
-  for (bool UseDecoded : {true, false}) {
-    MOpts.UseDecoded = UseDecoded;
-    Observed O = runOnce(*Prog, MOpts);
-    EXPECT_EQ(int(O.Result.Outcome), int(RunResult::Status::Completed));
-    uint64_t Hash = fnv1a(v2Bytes(O.Log, "golden"));
-    EXPECT_EQ(Hash, 0x398f02cd27ee92a9ull)
-        << "golden v2 log drifted (decoded=" << UseDecoded << "); actual 0x"
-        << std::hex << Hash;
-  }
-}
-
-// The emulation package: every interval of every process, replayed on both
-// engines, must produce identical traces and final state — including open
-// (postlog-less) intervals and the failing interval of crash.ppl.
-TEST(InterpTest, ReplayEnginesAgreeOnEveryInterval) {
-  for (const char *Name : Corpus) {
-    if (std::string(Name) == "deadlock.ppl")
-      continue; // no completed run to index (outcome is Deadlock)
-    std::string Source = readCorpusFile(Name);
-    bool Fails = std::string(Name) == "crash.ppl";
-    Ran R = runProgram(Source, 5, {}, {}, /*ExpectCompleted=*/!Fails);
-    ASSERT_TRUE(R.Prog);
-    LogIndex Index(R.Log);
-    ReplayEngine Engine(*R.Prog);
-    unsigned Replayed = 0, FailuresHit = 0;
-    for (uint32_t Pid = 0; Pid != R.Log.Procs.size(); ++Pid) {
-      for (const LogInterval &Interval : Index.intervals(Pid)) {
-        ReplayOptions Decoded;
-        Decoded.Engine = ReplayEngineKind::Decoded;
-        ReplayOptions Legacy;
-        Legacy.Engine = ReplayEngineKind::Legacy;
-        ReplayResult D = Engine.replay(R.Log, Pid, Interval, Decoded);
-        ReplayResult L = Engine.replay(R.Log, Pid, Interval, Legacy);
-        std::string Label = std::string(Name) + " pid " +
-                            std::to_string(Pid) + " interval " +
-                            std::to_string(Interval.Index);
-        EXPECT_EQ(D.Ok, L.Ok) << Label;
-        EXPECT_EQ(D.Partial, L.Partial) << Label;
-        EXPECT_EQ(D.FailureHit, L.FailureHit) << Label;
-        EXPECT_EQ(int(D.Failure.Kind), int(L.Failure.Kind)) << Label;
-        EXPECT_EQ(D.Failure.Stmt, L.Failure.Stmt) << Label;
-        EXPECT_EQ(D.Diverged, L.Diverged) << Label;
-        EXPECT_EQ(D.Error, L.Error) << Label;
-        EXPECT_EQ(D.PostlogMismatches.size(), L.PostlogMismatches.size())
-            << Label;
-        EXPECT_EQ(D.Instructions, L.Instructions) << Label;
-        EXPECT_EQ(D.Shared, L.Shared) << Label;
-        EXPECT_EQ(D.PrivateGlobals, L.PrivateGlobals) << Label;
-        EXPECT_EQ(D.RootSlots, L.RootSlots) << Label;
-        EXPECT_EQ(D.HasReturn, L.HasReturn) << Label;
-        EXPECT_EQ(D.ReturnValue, L.ReturnValue) << Label;
-        EXPECT_TRUE(D.Events.Events == L.Events.Events) << Label;
-        FailuresHit += D.FailureHit;
-        ++Replayed;
-      }
-    }
-    EXPECT_GT(Replayed, 0u) << Name;
-    if (Fails) {
-      EXPECT_GT(FailuresHit, 0u) << "crash.ppl replay must re-hit the "
-                                    "divide by zero on both engines";
-    }
-  }
-}
-
-// Breakpoints must fire on the same statement transition in both engines
-// even at quantum 1, where the decoded loop re-enters mid-way through
-// fused superinstructions.
-TEST(InterpTest, BreakpointAgreesAtQuantumOne) {
-  auto Prog = compileOk("shared int g;\n"
-                        "func main() {\n"
-                        "  int i = 0;\n"
-                        "  for (i = 0; i < 10; i = i + 1)\n"
-                        "    g = g + i;\n"
-                        "  g = 99;\n" // line 6 ← break here
-                        "}\n");
-  ASSERT_TRUE(Prog);
-  StmtId Break = stmtAtLine(*Prog->Ast, 6);
-  MachineOptions Decoded;
-  Decoded.Quantum = 1;
-  Decoded.Breakpoints = {Break};
-  Decoded.UseDecoded = true;
-  MachineOptions Legacy = Decoded;
-  Legacy.UseDecoded = false;
-  Observed D = runOnce(*Prog, Decoded);
-  Observed L = runOnce(*Prog, Legacy);
-  ASSERT_EQ(int(D.Result.Outcome), int(RunResult::Status::Breakpoint));
-  EXPECT_EQ(D.Result.BreakStmt, Break);
-  expectEnginesAgree(D, L, "breakpoint at quantum 1");
-  // The breakpoint halted *before* line 6 executed.
-  EXPECT_EQ(D.Shared[0], 45);
+  Observed O = runOnce(*Prog, MOpts);
+  EXPECT_EQ(int(O.Result.Outcome), int(RunResult::Status::Completed));
+  uint64_t Hash = fnv1a(v2Bytes(O.Log, "golden"));
+  EXPECT_EQ(Hash, 0x398f02cd27ee92a9ull)
+      << "golden v2 log drifted; actual 0x" << std::hex << Hash;
 }
 
 } // namespace

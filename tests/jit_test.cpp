@@ -246,6 +246,48 @@ TEST(JitTest, BudgetExpiryAgreesAtEveryCutoff) {
     diffAllIntervals(R, "budget " + std::to_string(Budget), Budget);
 }
 
+// A side exit hands exactly one instruction to the interpreter, then
+// re-enters native code. Two back-to-back builtin calls are two side exits,
+// so nesting one more sqrt inside a ten-iteration loop adds exactly ten
+// bailouts; a runner that let the interpreter run on past the exiting
+// instruction would fold the pair into one.
+TEST(JitTest, SideExitStepsOneInstruction) {
+  auto Bailouts = [](const char *Body) -> uint64_t {
+    std::string Source = std::string("func main() {\n"
+                                     "  int y = 5;\n"
+                                     "  int i = 0;\n"
+                                     "  for (i = 0; i < 10; i = i + 1)\n"
+                                     "    y = ") +
+                         Body + ";\n  print(y);\n}\n";
+    Ran R = runProgram(Source, 1);
+    EXPECT_TRUE(R.Prog);
+    if (!R.Prog)
+      return 0;
+    JitOptions JOpts;
+    JOpts.HotThreshold = 1;
+    std::shared_ptr<JitProgram> JP = JitProgram::create(*R.Prog, JOpts);
+    LogIndex Index(R.Log);
+    EXPECT_EQ(Index.intervals(0).size(), 1u);
+    ReplayEngine JitEngine(*R.Prog, JP);
+    ReplayEngine RefEngine(*R.Prog);
+    ReplayOptions D;
+    D.Engine = ReplayEngineKind::Decoded;
+    const LogInterval &Interval = Index.intervals(0)[0];
+    expectReplayEqual(JitEngine.replay(R.Log, 0, Interval),
+                      RefEngine.replay(R.Log, 0, Interval, D), Body);
+    EXPECT_EQ(JP->stats().JittedReplays, 1u) << Body;
+    return JP->stats().Bailouts;
+  };
+  auto Probe = compileOk("func main() { print(1); }");
+  ASSERT_TRUE(Probe);
+  if (!JitProgram::create(*Probe))
+    GTEST_SKIP() << "JIT backend unavailable on this host";
+  uint64_t One = Bailouts("sqrt(y + i)");
+  uint64_t Two = Bailouts("sqrt(sqrt(y + i))");
+  EXPECT_GT(One, 10u);
+  EXPECT_EQ(Two, One + 10);
+}
+
 // An impossible code budget makes every compile fail; the tier must fall
 // back to decoded transparently, not error.
 TEST(JitTest, CodeBudgetExhaustionFallsBackToDecoded) {

@@ -260,6 +260,36 @@ func main() {
   EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::ReadWrite));
 }
 
+// A failed process's last edge has no closing sync node of its own: the
+// machine flushes its shared accesses as a terminal node when it freezes,
+// so a write there still races with an unordered write elsewhere.
+TEST(RaceTest, FailedProcessFinalEdgeStillRaces) {
+  const char *Source = R"(
+shared int sv;
+shared int arr[2];
+func worker() {
+  sv = 1;
+  int i = 0;
+  while (i < 50) { i = i + 1; }
+  sv = arr[i];
+}
+func main() {
+  spawn worker();
+  sv = 2;
+}
+)";
+  for (uint64_t Seed : {1, 2, 3}) {
+    auto R = runProgram(Source, Seed, {}, {}, /*ExpectCompleted=*/false);
+    ASSERT_EQ(int(R.Result.Outcome), int(RunResult::Status::Failed));
+    auto G = graphOf(R);
+    RaceDetector Detector(G, *R.Prog->Symbols);
+    auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+    ASSERT_FALSE(Result.raceFree()) << "seed " << Seed;
+    EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::WriteWrite))
+        << "seed " << Seed;
+  }
+}
+
 TEST(RaceTest, OrderedAccessesAreNotRaces) {
   // The V/P ordering makes the accesses sequential, not simultaneous.
   auto R = runProgram(R"(

@@ -199,6 +199,63 @@ func main() {
   EXPECT_EQ(Res.Failure.Stmt, R.Result.Error.Stmt);
 }
 
+TEST(ReplayTest, StackOverflowReplayStopsAtTheFrozenEdge) {
+  // Replay does not re-derive a stack overflow, so replaying the open
+  // interval runs on to the failing call. The process wrote a shared
+  // variable since its last sync node, so its log ends in the Stopped
+  // node the freeze flushed; replay must read that as the end of
+  // execution, not as a missing nested prelog.
+  auto R = runProgram(R"(
+shared int g;
+func rec(int n) { g = n; return rec(n + 1); }
+func main() { rec(0); }
+)",
+                      1, {}, {}, /*ExpectCompleted=*/false);
+  ASSERT_EQ(int(R.Result.Error.Kind), int(RuntimeErrorKind::StackOverflow));
+  const RecordSeq &Records = R.Log.Procs[0].Records;
+  ASSERT_FALSE(Records.empty());
+  ASSERT_EQ(int(Records.back().Kind), int(LogRecordKind::SyncEvent));
+  ASSERT_EQ(int(Records.back().Sync), int(SyncKind::Stopped));
+
+  LogIndex Index(R.Log);
+  const LogInterval *Open = Index.lastOpenInterval(0);
+  ASSERT_NE(Open, nullptr);
+  ReplayEngine Engine(*R.Prog);
+  for (ReplayEngineKind Kind : {ReplayEngineKind::Decoded,
+                                ReplayEngineKind::Jit}) {
+    ReplayOptions Opts;
+    Opts.Engine = Kind;
+    ReplayResult Res = Engine.replay(R.Log, 0, *Open, Opts);
+    EXPECT_TRUE(Res.Ok) << Res.Error;
+    EXPECT_TRUE(Res.Partial);
+  }
+
+  PpdController Ctl(*R.Prog, R.Log);
+  EXPECT_NE(Ctl.startAtFailure(0), InvalidId);
+  EXPECT_EQ(Ctl.logError(), "");
+}
+
+TEST(ReplayTest, VariablesWrittenOnAnUntakenBranchKeepTheirEntryValues) {
+  // f's param and the private global are written only on the branch not
+  // taken, and never read: the postlog still captures their entry values.
+  auto R = runProgram(R"(
+shared int g;
+int pg;
+func f(int a) {
+  if (g > 5) {
+    a = 0;
+    pg = 1;
+  }
+  return 0;
+}
+func main() {
+  pg = 7;
+  print(f(3));
+}
+)");
+  expectAllIntervalsReplayFaithfully(R);
+}
+
 TEST(ReplayTest, SharedValuesRestoredFromUnitLogs) {
   // The child reads sv *after* synchronizing; its replay must see the
   // value main wrote, via the unit log, not the stale prelog value.

@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -43,6 +44,18 @@ using namespace ppd;
 using namespace ppd::test;
 
 namespace {
+
+/// A spill directory of the running test's own. Spill and final-log files
+/// are named by stream id, which every fixture starts at 1, and ctest runs
+/// each test as its own process, concurrently with the others.
+std::string testSpillDir() {
+  const ::testing::TestInfo *Info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string Dir = ::testing::TempDir() + "/ppd_stream_" +
+                    Info->test_suite_name() + "." + Info->name();
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
 
 //===----------------------------------------------------------------------===//
 // Harness
@@ -343,37 +356,88 @@ TEST(StreamIngestTest, UnknownStreamIdsGetNoSuchStream) {
   EXPECT_EQ(Empty.Text, "no streams");
 }
 
+/// The first (or last) sync record of process \p Pid.
+LogRecord &syncRecordOf(ExecutionLog &Log, uint32_t Pid, bool Last = false) {
+  RecordSeq &Records = Log.Procs.at(Pid).Records;
+  LogRecord *Found = nullptr;
+  for (LogRecord &R : Records)
+    if (R.Kind == LogRecordKind::SyncEvent && (!Found || Last))
+      Found = &R;
+  EXPECT_NE(Found, nullptr) << "pid " << Pid << " has no sync record";
+  return *Found;
+}
+
 TEST(StreamIngestTest, MalformedCutsKillTheStreamTyped) {
+  // Frame cases mangle the first frame and mark it last-in-cut; log cases
+  // mangle one record of the run and ship the whole run as one forced cut,
+  // which is accepted unmangled (checked first).
   struct Case {
     const char *Name;
     std::function<void(Request &)> Mangle;
+    std::function<void(ExecutionLog &)> MangleLog;
   };
   const Case Cases[] = {
-      {"undecodable blob", [](Request &R) { R.Blob = {0xff, 0xff, 0xff}; }},
-      {"replayed cut", [](Request &R) { R.CutSeq = 0; }},
-      {"non-dense pid", [](Request &R) { R.Pid = 7; }},
-      {"record gap", [](Request &R) { R.FirstRecord = 1000; }},
+      {"undecodable blob", [](Request &R) { R.Blob = {0xff, 0xff, 0xff}; },
+       nullptr},
+      {"replayed cut", [](Request &R) { R.CutSeq = 0; }, nullptr},
+      {"non-dense pid", [](Request &R) { R.Pid = 7; }, nullptr},
+      {"record gap", [](Request &R) { R.FirstRecord = 1000; }, nullptr},
+      {"self partner", nullptr,
+       [](ExecutionLog &L) {
+         LogRecord &Start = syncRecordOf(L, 1);
+         Start.PartnerSeq = Start.Seq;
+       }},
+      {"partner after its dependent", nullptr,
+       [](ExecutionLog &L) {
+         syncRecordOf(L, 1).PartnerSeq = syncRecordOf(L, 1, true).Seq;
+       }},
+      {"READ id outside the shared segment", nullptr,
+       [](ExecutionLog &L) {
+         syncRecordOf(L, 1, true).ReadSet.push_back(100000);
+       }},
   };
+  auto SealWholeRun = [](IngestFixture &F, uint64_t Sid,
+                         const ExecutionLog &Log) {
+    stream::SealerOptions SOpts;
+    SOpts.ProgramIndex = F.ProgramIndex;
+    SOpts.ProgramHash = F.Hash;
+    SOpts.SectionRecords = 1;
+    stream::StreamSealer Sealer(SOpts);
+    Sealer.setStreamId(Sid);
+    return Sealer.sealRound(Log, /*Force=*/true);
+  };
+  {
+    IngestFixture F(PipelineSource);
+    Response Hello = F.hello();
+    ASSERT_EQ(int(Hello.Type), int(RespType::Ack));
+    Ran R = runProgram(PipelineSource);
+    for (const Request &Frame : SealWholeRun(F, Hello.StreamId, R.Log))
+      ASSERT_EQ(int(F.Ingest.dispatch(Frame).Type), int(RespType::Ack))
+          << "the unmangled run is one acceptable cut";
+  }
   for (const Case &C : Cases) {
     IngestFixture F(PipelineSource);
     Response Hello = F.hello();
     ASSERT_EQ(int(Hello.Type), int(RespType::Ack));
 
     Ran R = runProgram(PipelineSource);
-    stream::SealerOptions SOpts;
-    SOpts.ProgramIndex = F.ProgramIndex;
-    SOpts.ProgramHash = F.Hash;
-    SOpts.SectionRecords = 1;
-    stream::StreamSealer Sealer(SOpts);
-    Sealer.setStreamId(Hello.StreamId);
-    std::vector<Request> Frames = Sealer.sealRound(R.Log, /*Force=*/true);
+    if (C.MangleLog)
+      C.MangleLog(R.Log);
+    std::vector<Request> Frames = SealWholeRun(F, Hello.StreamId, R.Log);
     ASSERT_FALSE(Frames.empty());
 
-    // Mangle the first frame and mark it last-in-cut so validation runs.
-    Request Bad = Frames.front();
-    Bad.Flags |= SectionLastInCut;
-    C.Mangle(Bad);
-    Response Err = F.Ingest.dispatch(Bad);
+    Response Err;
+    if (C.Mangle) {
+      Request Bad = Frames.front();
+      Bad.Flags |= SectionLastInCut;
+      C.Mangle(Bad);
+      Err = F.Ingest.dispatch(Bad);
+    } else {
+      for (size_t I = 0; I + 1 != Frames.size(); ++I)
+        ASSERT_EQ(int(F.Ingest.dispatch(Frames[I]).Type), int(RespType::Ack))
+            << C.Name << ": frames inside a cut are staged, not checked";
+      Err = F.Ingest.dispatch(Frames.back());
+    }
     EXPECT_EQ(int(Err.Type), int(RespType::Error)) << C.Name;
     EXPECT_EQ(int(Err.Code), int(ErrCode::StreamProtocol)) << C.Name;
 
@@ -430,7 +494,7 @@ TEST(StreamIngestTest, TailOnEmptyFrontierIsAnAnswerNotAnError) {
 //===----------------------------------------------------------------------===//
 
 TEST(StreamSpillTest, DroppedConnectionLeavesSpillOpenableToLastCut) {
-  std::string Dir = ::testing::TempDir();
+  std::string Dir = testSpillDir();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   IngestFixture F(PipelineSource, Options);
@@ -509,7 +573,7 @@ TEST(StreamSpillTest, DroppedConnectionLeavesSpillOpenableToLastCut) {
 }
 
 TEST(StreamSpillTest, EndedStreamFinalizesCanonicalV2Log) {
-  std::string Dir = ::testing::TempDir();
+  std::string Dir = testSpillDir();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   IngestFixture F(PipelineSource, Options);
@@ -537,7 +601,7 @@ TEST(StreamSpillTest, EndedStreamFinalizesCanonicalV2Log) {
 // fdatasync per acked cut on top. strace-free by injection.
 TEST(StreamSpillTest, SyncHookCountsFinalizeAlwaysPerCutWhenEnabled) {
   for (bool SpillSync : {false, true}) {
-    std::string Dir = ::testing::TempDir();
+    std::string Dir = testSpillDir();
     uint64_t SyncCalls = 0;
     stream::IngestOptions Options;
     Options.SpillDir = Dir;
@@ -558,7 +622,7 @@ TEST(StreamSpillTest, SyncHookCountsFinalizeAlwaysPerCutWhenEnabled) {
 }
 
 TEST(StreamSpillTest, FailedFinalizeSyncKillsStreamAndRemovesTmp) {
-  std::string Dir = ::testing::TempDir();
+  std::string Dir = testSpillDir();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   Options.Sync = [](int) { return -1; }; // the platter said no
@@ -634,7 +698,7 @@ TEST(StreamBudgetTest, ExhaustedBudgetGivesTypedBusy) {
 TEST(StreamBudgetTest, SpillHeaderBytesCountAndBlockNewHellos) {
   // With a spill dir, each accepted hello writes a 16-byte header; a
   // 16-byte budget admits exactly one stream, then hellos go Busy.
-  std::string Dir = ::testing::TempDir();
+  std::string Dir = testSpillDir();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   Options.SpillBudget = 16;
