@@ -11,24 +11,20 @@
 //    more expensive. We are currently investigating algorithms to reduce
 //    the cost of detecting these conflicts."
 //
-// `naive_*` is the all-pairs algorithm; `indexed_*` buckets edges by the
-// shared variables they touch first; `vectorized_*` is the hardware-speed
-// tier (SIMD kernels + batched happens-before closure + optional sharded
-// sweep). All must report identical races (asserted by tests); the
-// PairsExamined counter shows the pruning, Pairs/s the throughput gap, and
-// ClosureBuildMs the vectorized tier's up-front cost.
+// `naive_*` is the all-pairs specification oracle (detectAllPairs);
+// `vectorized_*` is the detector PPD runs (detect: SIMD kernels + batched
+// happens-before closure). Both must report identical races (asserted by
+// tests); the PairsExamined counter shows the pruning, Pairs/s the
+// throughput gap, and ClosureBuildMs detect()'s up-front cost.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchPrograms.h"
 
 #include "pardyn/RaceDetector.h"
-#include "support/ThreadPool.h"
 #include "vm/Machine.h"
 
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 using namespace ppd;
 using namespace ppd::bench;
@@ -67,8 +63,8 @@ std::string raceWorkload(unsigned Workers, unsigned Rounds, unsigned Vars,
 }
 
 /// Sparse sharing: each worker has a private shared variable and touches a
-/// common one only rarely — the realistic shape where variable indexing
-/// prunes most pairs (cf. §7's search for cheaper conflict detection).
+/// common one only rarely — the shape where few edge pairs share a
+/// variable, so detect()'s up-front closure build dominates its cost.
 std::string sparseWorkload(unsigned Workers, unsigned Rounds) {
   std::string Source = "shared int common;\n";
   for (unsigned W = 0; W != Workers; ++W)
@@ -122,8 +118,7 @@ Prepared prepare(unsigned Workers, unsigned Rounds, bool Protected) {
   return Out;
 }
 
-void detectOn(benchmark::State &State, const Prepared &P,
-              RaceAlgorithm Algorithm, ThreadPool *Pool = nullptr) {
+void detectOn(benchmark::State &State, const Prepared &P, bool AllPairs) {
   RaceDetector Detector(*P.Graph, *P.Prog->Symbols);
 
   uint64_t Pairs = 0;
@@ -133,7 +128,7 @@ void detectOn(benchmark::State &State, const Prepared &P,
   for (uint32_t Pid = 0; Pid != P.Graph->numProcs(); ++Pid)
     Edges += P.Graph->edges(Pid).size();
   for (auto _ : State) {
-    auto Result = Detector.detect(Algorithm, Pool);
+    auto Result = AllPairs ? Detector.detectAllPairs() : Detector.detect();
     benchmark::DoNotOptimize(Result.Races.size());
     Pairs = Result.PairsExamined;
     Races = Result.Races.size();
@@ -143,68 +138,43 @@ void detectOn(benchmark::State &State, const Prepared &P,
   State.counters["PairsExamined"] = double(Pairs);
   State.counters["Races"] = double(Races);
   // The E5 throughput column: candidate combinations tested per second.
-  // Comparable across algorithms only on identical workloads — the
-  // algorithms count different candidate universes (see RaceDetector.h).
+  // Comparable across the two detectors only on identical workloads — they
+  // count different candidate universes (see RaceDetector.h).
   State.counters["Pairs/s"] = benchmark::Counter(
       double(Pairs), benchmark::Counter::kIsIterationInvariantRate);
-  if (Algorithm == RaceAlgorithm::Vectorized)
+  if (!AllPairs)
     State.counters["ClosureBuildMs"] = double(ClosureNs) / 1e6;
 }
 
 void naive_racy(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    false);
-  detectOn(State, P, RaceAlgorithm::NaiveAllPairs);
-}
-void indexed_racy(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   false);
-  detectOn(State, P, RaceAlgorithm::VarIndexed);
+  detectOn(State, P, /*AllPairs=*/true);
 }
 void naive_racefree(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    true);
-  detectOn(State, P, RaceAlgorithm::NaiveAllPairs);
-}
-void indexed_racefree(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   true);
-  detectOn(State, P, RaceAlgorithm::VarIndexed);
+  detectOn(State, P, /*AllPairs=*/true);
 }
 void naive_sparse(benchmark::State &State) {
   auto P = prepareSource(
       sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
-  detectOn(State, P, RaceAlgorithm::NaiveAllPairs);
-}
-void indexed_sparse(benchmark::State &State) {
-  auto P = prepareSource(
-      sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
-  detectOn(State, P, RaceAlgorithm::VarIndexed);
+  detectOn(State, P, /*AllPairs=*/true);
 }
 void vectorized_racy(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    false);
-  detectOn(State, P, RaceAlgorithm::Vectorized);
+  detectOn(State, P, /*AllPairs=*/false);
 }
 void vectorized_racefree(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    true);
-  detectOn(State, P, RaceAlgorithm::Vectorized);
+  detectOn(State, P, /*AllPairs=*/false);
 }
 void vectorized_sparse(benchmark::State &State) {
   auto P = prepareSource(
       sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
-  detectOn(State, P, RaceAlgorithm::Vectorized);
-}
-/// The sharded sweep on a pool sized to the host (the deployed shape:
-/// detectRaces rides the replay service's pool).
-void vectorized_pooled_racy(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   false);
-  unsigned Workers = std::max(1u, std::thread::hardware_concurrency());
-  ThreadPool Pool(Workers);
-  State.counters["PoolWorkers"] = double(Workers);
-  detectOn(State, P, RaceAlgorithm::Vectorized, &Pool);
+  detectOn(State, P, /*AllPairs=*/false);
 }
 
 } // namespace
@@ -213,14 +183,10 @@ void vectorized_pooled_racy(benchmark::State &State) {
 #define RACE_ARGS ->Args({2, 8})->Args({4, 8})->Args({4, 32})->Args({8, 32})
 
 BENCHMARK(naive_racy) RACE_ARGS;
-BENCHMARK(indexed_racy) RACE_ARGS;
 BENCHMARK(vectorized_racy) RACE_ARGS;
-BENCHMARK(vectorized_pooled_racy) RACE_ARGS;
 BENCHMARK(naive_racefree) RACE_ARGS;
-BENCHMARK(indexed_racefree) RACE_ARGS;
 BENCHMARK(vectorized_racefree) RACE_ARGS;
 BENCHMARK(naive_sparse) RACE_ARGS;
-BENCHMARK(indexed_sparse) RACE_ARGS;
 BENCHMARK(vectorized_sparse) RACE_ARGS;
 
 BENCHMARK_MAIN();

@@ -126,11 +126,7 @@ const BuiltFragment *PpdController::ensureInterval(uint32_t Pid,
 
   assert(IntervalIdx < Index.intervals(Pid).size() &&
          "interval index out of range");
-  const BuiltFragment *Fragment =
-      addFragment(Pid, IntervalIdx, Service.get(Pid, IntervalIdx));
-  // Warm the intervals a backward walk from here reaches next.
-  Service.prefetchNeighbors(Pid, IntervalIdx);
-  return Fragment;
+  return addFragment(Pid, IntervalIdx, Service.get(Pid, IntervalIdx));
 }
 
 unsigned PpdController::ensureIntervals(
@@ -390,12 +386,8 @@ const ParallelDynamicGraph &PpdController::parallelGraph() {
   return *ParGraph;
 }
 
-RaceDetectionResult PpdController::detectRaces(RaceAlgorithm Algorithm) {
-  RaceDetector Detector(parallelGraph(), *Prog.Symbols);
-  // The vectorized sweep shards across the replay service's pool (serial
-  // sessions have a worker-less pool and run it inline); results are
-  // byte-identical at any worker count.
-  return Detector.detect(Algorithm, Service.pool());
+RaceDetectionResult PpdController::detectRaces() {
+  return RaceDetector(parallelGraph(), *Prog.Symbols).detect();
 }
 
 DynNodeId PpdController::expandCall(DynNodeId SubGraphNode) {

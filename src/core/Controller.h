@@ -76,10 +76,10 @@ struct ControllerStats {
 };
 
 struct PpdControllerOptions {
-  /// Replay service configuration: worker threads, trace-cache budget,
-  /// background prefetch. Defaults are serial and prefetch-free, which
-  /// keeps the controller fully deterministic and its Replays counter
-  /// equal to exactly the intervals queries demanded.
+  /// Replay service configuration: worker threads and trace-cache
+  /// budget. The default is serial, which keeps the controller fully
+  /// deterministic and its Replays counter equal to exactly the intervals
+  /// queries demanded.
   ReplayServiceOptions Service;
   /// A pre-built parallel dynamic graph (the `.ppdb` sidecar's) to adopt
   /// instead of constructing one on first use. Constructing it scans
@@ -137,7 +137,7 @@ public:
   ensureIntervals(const std::vector<ParallelReplayer::IntervalRef> &Requests);
 
   /// The cached, parallel replay layer (cache counters, transitive
-  /// interval sets, prefetch).
+  /// interval sets).
   ParallelReplayer &replayService() { return Service; }
   const ParallelReplayer &replayService() const { return Service; }
 
@@ -178,13 +178,10 @@ public:
   /// The parallel dynamic graph (§6.1), built on first use.
   const ParallelDynamicGraph &parallelGraph();
 
-  /// Race detection over the parallel dynamic graph (Defs 6.1–6.4). The
-  /// default is the vectorized tier — the debugger `races` command and the
-  /// server's race query ride on it; the legacy algorithms stay available
-  /// as differential oracles and for the CLI --race-strategy flag. All
-  /// three produce byte-identical race lists.
-  RaceDetectionResult detectRaces(
-      RaceAlgorithm Algorithm = RaceAlgorithm::Vectorized);
+  /// Race detection over the parallel dynamic graph (Defs 6.1–6.4), by
+  /// RaceDetector::detect(); the debugger `races` command and the
+  /// server's race query ride on it.
+  RaceDetectionResult detectRaces();
 
   /// §5.7 what-if: replays an interval with value overrides. Memoized
   /// like faithful replays — the override list's fingerprint is part of

@@ -48,8 +48,7 @@ std::string ppd::renderReplayServiceStats(const ReplayServiceStats &Stats) {
          std::to_string(Stats.Cache.Misses) + ", entries " +
          std::to_string(Stats.Cache.Entries) + ", bytes " +
          std::to_string(Stats.Cache.Bytes) + ", evictions " +
-         std::to_string(Stats.Cache.Evictions) + ", prefetches " +
-         std::to_string(Stats.PrefetchesIssued) + "\n";
+         std::to_string(Stats.Cache.Evictions) + "\n";
   Out += "pool: submitted " + std::to_string(Stats.Pool.Submitted) +
          ", executed " + std::to_string(Stats.Pool.Executed) + ", stolen " +
          std::to_string(Stats.Pool.Stolen) + ", inline " +
@@ -94,19 +93,6 @@ ParallelReplayer::ParallelReplayer(const CompiledProgram &Prog,
     OwnedPool = std::make_unique<ThreadPool>(this->Options.Threads);
     Pool = OwnedPool.get();
   }
-}
-
-ParallelReplayer::~ParallelReplayer() { drain(); }
-
-void ParallelReplayer::drain() {
-  std::unique_lock<std::mutex> Lock(BackgroundMutex);
-  BackgroundCv.wait(Lock, [this] { return BackgroundPending == 0; });
-}
-
-void ParallelReplayer::finishBackgroundTask() {
-  std::lock_guard<std::mutex> Lock(BackgroundMutex);
-  if (--BackgroundPending == 0)
-    BackgroundCv.notify_all();
 }
 
 ParallelReplayer::ReplayPtr
@@ -250,41 +236,6 @@ ParallelReplayer::transitiveIntervals(uint32_t Pid,
   return Out;
 }
 
-void ParallelReplayer::prefetchNeighbors(uint32_t Pid,
-                                         uint32_t IntervalIdx) {
-  if (!Options.Prefetch || Pool->numThreads() == 0)
-    return;
-  const std::vector<LogInterval> &Intervals = Index.intervals(Pid);
-  if (IntervalIdx >= Intervals.size())
-    return;
-  const LogInterval &Interval = Intervals[IntervalIdx];
-
-  std::vector<uint32_t> Targets;
-  if (Interval.Parent != InvalidId)
-    Targets.push_back(Interval.Parent);
-  // Preceding sibling: same parent, greatest prelog before ours.
-  const LogInterval *Sibling = nullptr;
-  for (const LogInterval &Other : Intervals)
-    if (Other.Parent == Interval.Parent &&
-        Other.PrelogRecord < Interval.PrelogRecord &&
-        (!Sibling || Other.PrelogRecord > Sibling->PrelogRecord))
-      Sibling = &Other;
-  if (Sibling)
-    Targets.push_back(Sibling->Index);
-
-  for (uint32_t Target : Targets) {
-    {
-      std::lock_guard<std::mutex> Lock(BackgroundMutex);
-      ++BackgroundPending;
-    }
-    PrefetchesIssued.fetch_add(1, std::memory_order_relaxed);
-    Pool->submit([this, Pid, Target] {
-      get(Pid, Target);
-      finishBackgroundTask();
-    });
-  }
-}
-
 ReplayServiceStats ParallelReplayer::stats() const {
   ReplayServiceStats Out;
   Out.Cache = Cache->stats();
@@ -292,7 +243,6 @@ ReplayServiceStats ParallelReplayer::stats() const {
   Out.EngineReplays = EngineReplays.load(std::memory_order_relaxed);
   Out.EngineInstructions =
       EngineInstructions.load(std::memory_order_relaxed);
-  Out.PrefetchesIssued = PrefetchesIssued.load(std::memory_order_relaxed);
   if (Options.Paged) {
     Out.Buffer = Options.Paged.Pool->stats();
     Out.HasBuffer = true;

@@ -19,11 +19,7 @@
 ///   * concurrent requests for the same interval are deduplicated
 ///     (single-flight): one thread replays, the rest share the result;
 ///   * getMany() fans a query's interval set out across a work-stealing
-///     ThreadPool, with the calling thread helping to drain the queue;
-///   * prefetchNeighbors() warms the intervals a flowback walk is likely
-///     to enter next — the parent and the preceding sibling in the
-///     nested-interval tree (Fig 5.2), where the values read by a prelog
-///     were produced — in the background.
+///     ThreadPool, with the calling thread helping to drain the queue.
 ///
 /// The service never touches the dynamic graph: trace regeneration is the
 /// parallel part; graph splicing stays on the controller's thread.
@@ -73,9 +69,6 @@ struct ReplayServiceOptions {
   /// SharedCache is set.
   size_t CacheBytes = size_t(64) << 20;
   unsigned CacheShards = 8;
-  /// Warm parent/preceding-sibling intervals in the background after each
-  /// replay request.
-  bool Prefetch = false;
 
   /// A cache shared with other replayers of the same log (the server's
   /// per-program cache). Valid only when every sharer replays identical
@@ -113,8 +106,6 @@ struct ReplayServiceStats {
   uint64_t EngineReplays = 0;
   /// Instructions executed across those replays.
   uint64_t EngineInstructions = 0;
-  /// Background prefetch tasks issued.
-  uint64_t PrefetchesIssued = 0;
   // JIT tier counters (all zero when the backend is unavailable).
   uint64_t JitCompiles = 0;
   uint64_t JitCompileNs = 0;
@@ -137,7 +128,6 @@ public:
 
   ParallelReplayer(const CompiledProgram &Prog, const ExecutionLog &Log,
                    const LogIndex &Index, ReplayServiceOptions Options = {});
-  ~ParallelReplayer();
 
   /// The memoized replay of one interval; replays on miss. Thread-safe.
   ReplayPtr get(uint32_t Pid, uint32_t IntervalIdx,
@@ -156,21 +146,8 @@ public:
   std::vector<IntervalRef> transitiveIntervals(uint32_t Pid,
                                                uint32_t IntervalIdx) const;
 
-  /// Queues background replays of the parent and preceding sibling of
-  /// (Pid, IntervalIdx) — the likely next stops of a backward walk.
-  /// No-op unless Options.Prefetch is set and the pool has workers.
-  void prefetchNeighbors(uint32_t Pid, uint32_t IntervalIdx);
-
-  /// Waits for all outstanding background work.
-  void drain();
-
   ReplayServiceStats stats() const;
   const ReplayServiceOptions &options() const { return Options; }
-
-  /// The worker pool replays fan out on (owned or shared). Other
-  /// shardable work in a session — the vectorized race sweep — reuses it
-  /// rather than spinning up a second pool.
-  ThreadPool *pool() { return Pool; }
 
   /// Stable hash of an override list; 0 iff the list is empty, so the
   /// faithful replay owns fingerprint 0.
@@ -179,7 +156,6 @@ public:
 private:
   ReplayPtr replayMiss(const ReplayKey &Key,
                        const std::vector<ReplayOverride> &Overrides);
-  void finishBackgroundTask();
 
   const CompiledProgram &Prog;
   const ExecutionLog &Log;
@@ -196,11 +172,6 @@ private:
 
   std::atomic<uint64_t> EngineReplays{0};
   std::atomic<uint64_t> EngineInstructions{0};
-  std::atomic<uint64_t> PrefetchesIssued{0};
-
-  std::mutex BackgroundMutex;
-  std::condition_variable BackgroundCv;
-  uint64_t BackgroundPending = 0;
 };
 
 } // namespace ppd

@@ -18,7 +18,8 @@ using namespace ppd;
 namespace {
 
 constexpr uint32_t DbMagic = 0x42445050u; // "PPDB" on disk (little-endian).
-constexpr uint32_t DbVersion = 2; // v2 added the parallel dynamic graph.
+// v2 added the parallel dynamic graph, v3 the body checksum.
+constexpr uint32_t DbVersion = 3;
 
 /// FNV-1a, the repo-wide cheap stable hash.
 struct Fnv {
@@ -135,9 +136,9 @@ uint64_t ppd::programHash(const CompiledProgram &Prog) {
 bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
                          const PageStore &Store, const LogIndex &Index,
                          const ParallelDynamicGraph *Graph) {
+  // Everything after the fixed header is the body; the header carries its
+  // FNV-1a hash.
   LogWriter W;
-  W.u32(DbMagic);
-  W.u32(DbVersion);
   W.u64(programHash(Prog));
 
   // Per-function chunk hashes: redundant with the program hash, kept
@@ -238,9 +239,17 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
     }
   }
 
+  Fnv BodyHash;
+  BodyHash.bytes(W.data(), W.size());
+  LogWriter File;
+  File.u32(DbMagic);
+  File.u32(DbVersion);
+  File.u64(BodyHash.H);
+  File.bytes(W);
+
   // Atomic publish: a reader never sees a half-written sidecar.
   std::string TmpPath = Path + ".tmp";
-  if (!W.writeFile(TmpPath))
+  if (!File.writeFile(TmpPath))
     return false;
   if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
     std::remove(TmpPath.c_str());
@@ -268,6 +277,17 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
     return ProgramDbStatus::Corrupt;
   if (R.u32() != DbVersion)
     return ProgramDbStatus::Stale; // older tool wrote it; rebuild.
+  // The body checksum: no field below is trusted until every byte of the
+  // persisted tables, index and graph is covered. Without it a flipped
+  // bit in an edge's READ/WRITE set decodes cleanly and changes answers.
+  uint64_t StoredHash = R.u64();
+  if (!R.ok())
+    return ProgramDbStatus::Corrupt;
+  Fnv BodyHash;
+  BodyHash.bytes(Bytes.data() + (Bytes.size() - R.remaining()),
+                 R.remaining());
+  if (BodyHash.H != StoredHash)
+    return ProgramDbStatus::Corrupt;
   if (R.u64() != programHash(Prog) || !R.ok())
     return ProgramDbStatus::Stale;
 

@@ -23,10 +23,11 @@
 /// debug path skips the index skim *and* the graph construction — open cost becomes "read sidecar, validate,
 /// go", and the first query faults in only the sections it replays.
 ///
-/// The codec reuses the bounds-checked LogIO primitives, so a truncated
-/// or bit-flipped sidecar is detected at every byte offset and reported
-/// as Corrupt/Stale — callers then rebuild it from the log, never trust
-/// it.
+/// The header (magic, version) is followed by an FNV-1a hash of the body,
+/// checked before any field is decoded, and the codec reuses the
+/// bounds-checked LogIO primitives, so a truncated or bit-flipped sidecar
+/// is detected at every byte offset and reported as Corrupt/Stale —
+/// callers then rebuild it from the log, never trust it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batched edge-ordering closure for the vectorized race detector. The
-/// legacy detectors answer "are edges A and B simultaneous?" (Def 6.1) one
+/// Batched edge-ordering closure for RaceDetector::detect(). The
+/// all-pairs oracle answers "are edges A and B simultaneous?" (Def 6.1) one
 /// pair at a time through two vector-clock queries; this class computes
 /// the whole relation up front and turns the question into a single bit
 /// test.

@@ -9,40 +9,12 @@
 #include "lang/AstPrinter.h"
 #include "pardyn/EdgeClosure.h"
 #include "support/FixedVarSet.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
 #include <map>
-#include <mutex>
-#include <unordered_set>
 
 using namespace ppd;
-
-const char *ppd::raceAlgorithmName(RaceAlgorithm Algorithm) {
-  switch (Algorithm) {
-  case RaceAlgorithm::NaiveAllPairs:
-    return "naive";
-  case RaceAlgorithm::VarIndexed:
-    return "indexed";
-  case RaceAlgorithm::Vectorized:
-    return "vectorized";
-  }
-  return "unknown";
-}
-
-bool ppd::parseRaceAlgorithm(const std::string &Name, RaceAlgorithm &Out) {
-  if (Name == "naive")
-    Out = RaceAlgorithm::NaiveAllPairs;
-  else if (Name == "indexed")
-    Out = RaceAlgorithm::VarIndexed;
-  else if (Name == "vectorized")
-    Out = RaceAlgorithm::Vectorized;
-  else
-    return false;
-  return true;
-}
 
 RaceDetector::RaceDetector(const ParallelDynamicGraph &Graph,
                            const SymbolTable &Symbols)
@@ -58,7 +30,7 @@ RaceDetector::RaceDetector(const ParallelDynamicGraph &Graph,
 
 Race RaceDetector::makeRace(EdgeRef A, EdgeRef B, uint32_t SharedIdx,
                             RaceKind Kind) const {
-  // Canonical order so both algorithms produce identical race lists.
+  // Canonical order so both detectors produce identical race lists.
   if (B.Pid < A.Pid || (B.Pid == A.Pid && B.EndNode < A.EndNode))
     std::swap(A, B);
   Race R;
@@ -108,7 +80,7 @@ void RaceDetector::classifyPair(EdgeRef A, EdgeRef B,
 
 void RaceDetector::canonicalize(RaceDetectionResult &Result) {
   // Canonical result order, independent of discovery order — this is what
-  // makes the three algorithms' race lists byte-comparable.
+  // makes the two detectors' race lists byte-comparable.
   std::sort(Result.Races.begin(), Result.Races.end(),
             [](const Race &A, const Race &B) {
               auto KeyOf = [](const Race &R) {
@@ -122,89 +94,28 @@ void RaceDetector::canonicalize(RaceDetectionResult &Result) {
                      Result.Races.end());
 }
 
-RaceDetectionResult RaceDetector::detect(RaceAlgorithm Algorithm,
-                                         ThreadPool *Pool) const {
-  if (Algorithm == RaceAlgorithm::Vectorized)
-    return detectVectorized(Pool);
-
+RaceDetectionResult RaceDetector::detectAllPairs() const {
   RaceDetectionResult Result;
   std::vector<EdgeRef> All = Graph.allEdges();
-
-  if (Algorithm == RaceAlgorithm::NaiveAllPairs) {
-    for (size_t I = 0; I != All.size(); ++I) {
-      for (size_t J = I + 1; J != All.size(); ++J) {
-        if (All[I].Pid == All[J].Pid)
-          continue;
-        ++Result.PairsExamined;
-        if (!Graph.simultaneous(All[I], All[J]))
-          continue;
-        classifyPair(All[I], All[J], Result.Races);
-      }
-    }
-  } else {
-    // VarIndexed: bucket edges by the shared variables they access; only
-    // pairs sharing a variable with a potential conflict are ordered.
-    std::vector<std::vector<EdgeRef>> ReadersOf(SharedToVar.size());
-    std::vector<std::vector<EdgeRef>> WritersOf(SharedToVar.size());
-    for (const EdgeRef &E : All) {
-      const InternalEdge &Edge = Graph.edge(E);
-      Edge.Reads.forEach([&](unsigned S) { ReadersOf[S].push_back(E); });
-      Edge.Writes.forEach([&](unsigned S) { WritersOf[S].push_back(E); });
-    }
-
-    // A pair may conflict on several variables; examine it once. Edges
-    // pack into 32 bits (pid in the high byte), pairs into 64 — a hashed
-    // set keeps the dedup off the critical path.
-    std::unordered_set<uint64_t> Seen;
-    Seen.reserve(All.size() * 4);
-    auto Pack = [](EdgeRef E) {
-      return (uint64_t(E.Pid) << 24) | E.EndNode;
-    };
-    auto Key = [&](EdgeRef A, EdgeRef B) {
-      uint64_t KA = Pack(A), KB = Pack(B);
-      return KA < KB ? (KA << 32) | KB : (KB << 32) | KA;
-    };
-
-    for (uint32_t S = 0; S != SharedToVar.size(); ++S) {
-      auto Examine = [&](EdgeRef A, EdgeRef B) {
-        if (A.Pid == B.Pid)
-          return;
-        if (!Seen.insert(Key(A, B)).second)
-          return;
-        ++Result.PairsExamined;
-        if (!Graph.simultaneous(A, B))
-          return;
-        classifyPair(A, B, Result.Races);
-      };
-      for (size_t I = 0; I != WritersOf[S].size(); ++I)
-        for (size_t J = I + 1; J != WritersOf[S].size(); ++J)
-          Examine(WritersOf[S][I], WritersOf[S][J]);
-      for (const EdgeRef &W : WritersOf[S])
-        for (const EdgeRef &R : ReadersOf[S])
-          Examine(W, R);
+  for (size_t I = 0; I != All.size(); ++I) {
+    for (size_t J = I + 1; J != All.size(); ++J) {
+      if (All[I].Pid == All[J].Pid)
+        continue;
+      ++Result.PairsExamined;
+      if (!Graph.simultaneous(All[I], All[J]))
+        continue;
+      classifyPair(All[I], All[J], Result.Races);
     }
   }
-
   canonicalize(Result);
   return Result;
 }
 
 //===----------------------------------------------------------------------===//
-// Vectorized tier: batched closure + inverted index + SIMD sweep.
+// detect(): batched closure + inverted index + SIMD sweep.
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// One shard of the per-variable sweep; shards own their scratch and race
-/// output so workers never share mutable state.
-struct SweepShard {
-  std::vector<Race> Races;
-  uint64_t Pairs = 0;
-};
-
-} // namespace
-
-RaceDetectionResult RaceDetector::detectVectorized(ThreadPool *Pool) const {
+RaceDetectionResult RaceDetector::detect() const {
   RaceDetectionResult Result;
   const uint32_t NumShared = uint32_t(SharedToVar.size());
 
@@ -237,39 +148,41 @@ RaceDetectionResult RaceDetector::detectVectorized(ThreadPool *Pool) const {
     W.forEach([&](unsigned S) { WritersOf[S].push_back(Gid); });
     // Readers that also write S classify as write/write there; keeping
     // them out of the reader list is what makes the sweep emit each
-    // conflict exactly once with the same kind the legacy classifier
-    // picks.
+    // conflict exactly once with the same kind detectAllPairs() picks.
     R.forEach([&](unsigned S) {
       if (!W.contains(S))
         ReadersOf[S].push_back(Gid);
     });
   }
 
-  // Layer 3: the sweep, shardable by variable. Each shard enumerates
-  // candidate pairs for its variables via row ∧ mask (rows present) or a
-  // bounds-tested pairwise loop (giant traces).
-  auto sweepVar = [&](uint32_t S, SweepShard &Out, FixedVarSet Mask,
-                      FixedVarSet Cand) {
+  // Layer 3: the per-variable sweep. Candidate pairs come from row ∧ mask
+  // (rows present) or a bounds-tested pairwise loop (giant traces). The
+  // candidate and mask rows span the edge universe and are reused across
+  // variables.
+  VarSetArena Scratch(2, E);
+  FixedVarSet Mask = Scratch.row(0);
+  FixedVarSet Cand = Scratch.row(1);
+  std::vector<Race> &Out = Result.Races;
+  for (uint32_t S = 0; S != NumShared; ++S) {
     const std::vector<uint32_t> &Ws = WritersOf[S];
     if (Ws.empty())
-      return;
+      continue;
     const std::vector<uint32_t> &Rs = ReadersOf[S];
-    Out.Pairs += uint64_t(Ws.size()) * (Ws.size() - 1) / 2 +
-                 uint64_t(Ws.size()) * Rs.size();
+    Result.PairsExamined += uint64_t(Ws.size()) * (Ws.size() - 1) / 2 +
+                            uint64_t(Ws.size()) * Rs.size();
     if (!Closure.hasRows()) {
       for (size_t I = 0; I != Ws.size(); ++I)
         for (size_t J = I + 1; J != Ws.size(); ++J)
           if (Closure.simultaneous(Ws[I], Ws[J]))
-            Out.Races.push_back(makeRace(Closure.edgeOf(Ws[I]),
-                                         Closure.edgeOf(Ws[J]), S,
-                                         RaceKind::WriteWrite));
+            Out.push_back(makeRace(Closure.edgeOf(Ws[I]),
+                                   Closure.edgeOf(Ws[J]), S,
+                                   RaceKind::WriteWrite));
       for (uint32_t W : Ws)
         for (uint32_t R : Rs)
           if (Closure.simultaneous(W, R))
-            Out.Races.push_back(makeRace(Closure.edgeOf(W),
-                                         Closure.edgeOf(R), S,
-                                         RaceKind::ReadWrite));
-      return;
+            Out.push_back(makeRace(Closure.edgeOf(W), Closure.edgeOf(R), S,
+                                   RaceKind::ReadWrite));
+      continue;
     }
     // Write/write: partners above the current writer only, so each
     // unordered pair surfaces exactly once.
@@ -281,9 +194,8 @@ RaceDetectionResult RaceDetector::detectVectorized(ThreadPool *Pool) const {
         uint32_t A = Ws[I];
         Cand.assignIntersection(Closure.simultaneousRow(A), Mask);
         Cand.forEachFrom(A + 1, [&](unsigned B) {
-          Out.Races.push_back(makeRace(Closure.edgeOf(A),
-                                       Closure.edgeOf(B), S,
-                                       RaceKind::WriteWrite));
+          Out.push_back(makeRace(Closure.edgeOf(A), Closure.edgeOf(B), S,
+                                 RaceKind::WriteWrite));
         });
       }
     }
@@ -296,56 +208,13 @@ RaceDetectionResult RaceDetector::detectVectorized(ThreadPool *Pool) const {
       for (uint32_t A : Ws) {
         Cand.assignIntersection(Closure.simultaneousRow(A), Mask);
         Cand.forEach([&](unsigned B) {
-          Out.Races.push_back(makeRace(Closure.edgeOf(A),
-                                       Closure.edgeOf(B), S,
-                                       RaceKind::ReadWrite));
+          Out.push_back(makeRace(Closure.edgeOf(A), Closure.edgeOf(B), S,
+                                 RaceKind::ReadWrite));
         });
       }
     }
-  };
-
-  auto sweepShard = [&](uint32_t First, uint32_t Stride, SweepShard &Out) {
-    // Per-worker scratch: a candidate row and a mask row over the edge
-    // universe, reused across this shard's variables.
-    VarSetArena Scratch(2, E);
-    for (uint32_t S = First; S < NumShared; S += Stride)
-      sweepVar(S, Out, Scratch.row(0), Scratch.row(1));
-  };
-
-  unsigned Workers = Pool ? Pool->numThreads() : 0;
-  uint32_t NumShards =
-      Workers ? std::min(NumShared, uint32_t(Workers) * 4) : 1;
-  std::vector<SweepShard> Shards(NumShards);
-  if (NumShards == 1) {
-    sweepShard(0, 1, Shards[0]);
-  } else {
-    // Fan the shards out and help drain the pool; the merge below runs in
-    // shard order, and canonicalize() makes the final list independent of
-    // scheduling anyway.
-    struct WaitState {
-      std::mutex Mutex;
-      std::condition_variable Cv;
-      uint32_t Remaining;
-    } Wait;
-    Wait.Remaining = NumShards;
-    for (uint32_t I = 0; I != NumShards; ++I)
-      Pool->submit([&, I] {
-        sweepShard(I, NumShards, Shards[I]);
-        std::lock_guard<std::mutex> Lock(Wait.Mutex);
-        if (--Wait.Remaining == 0)
-          Wait.Cv.notify_all();
-      });
-    while (Pool->runOneTask())
-      ;
-    std::unique_lock<std::mutex> Lock(Wait.Mutex);
-    Wait.Cv.wait(Lock, [&] { return Wait.Remaining == 0; });
   }
 
-  for (SweepShard &Shard : Shards) {
-    Result.PairsExamined += Shard.Pairs;
-    Result.Races.insert(Result.Races.end(), Shard.Races.begin(),
-                        Shard.Races.end());
-  }
   canonicalize(Result);
   return Result;
 }

@@ -12,29 +12,20 @@
 /// simultaneous edges races. Race-freedom of the instance is what
 /// validates the prelogs/unit logs for replay (§5.5).
 ///
-/// Three algorithms are provided, reproducing — and then closing — §7's
-/// remark that "the problem of finding all pairs of possible conflicting
-/// edges is more expensive ... we are currently investigating algorithms
-/// to reduce the cost":
+/// One detector, detect(), answers §7's remark that "the problem of
+/// finding all pairs of possible conflicting edges is more expensive ...
+/// we are currently investigating algorithms to reduce the cost": per-edge
+/// simultaneity bitset rows from the batched happens-before closure
+/// (EdgeClosure.h), an inverted shared-var → writer/reader-edge index,
+/// and SIMD word kernels (support/Simd.h) enumerating conflicting
+/// partners by row ∧ mask. Its PairsExamined counts the candidate
+/// (pair, variable) combinations those masks enumerate.
 ///
-///   * NaiveAllPairs — check every pair of edges from different processes;
-///   * VarIndexed    — index edges by the shared variables they touch and
-///     only compare pairs that conflict on some variable, pruning the
-///     happens-before checks to candidate pairs;
-///   * Vectorized    — the hardware-speed tier: per-edge simultaneity
-///     bitset rows from the batched happens-before closure
-///     (EdgeClosure.h), an inverted shared-var → writer/reader-edge
-///     index, and SIMD word kernels (support/Simd.h) enumerating
-///     conflicting partners by row ∧ mask, optionally sharded across a
-///     work-stealing ThreadPool with per-shard scratch and a
-///     deterministic merge.
-///
-/// All return the same race list byte-for-byte (asserted by the tests and
-/// the fuzzer's oracle matrix); bench_race_detection measures the gaps
-/// (experiment E5). PairsExamined is a per-algorithm cost counter: naive
-/// counts every cross-process pair, VarIndexed its deduplicated candidate
-/// pairs, Vectorized the candidate (pair, variable) combinations its
-/// masks enumerate.
+/// detectAllPairs() is the specification oracle: Defs 6.1–6.4 applied
+/// literally to every pair of edges from different processes
+/// (PairsExamined counts those pairs). The tests, the fuzzer's oracle
+/// matrix and bench_race_detection (experiment E5) hold detect() to its
+/// race list byte-for-byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,40 +56,30 @@ struct Race {
   }
 };
 
-enum class RaceAlgorithm { NaiveAllPairs, VarIndexed, Vectorized };
-
-const char *raceAlgorithmName(RaceAlgorithm Algorithm);
-/// Parses "naive" | "indexed" | "vectorized" (the CLI --race-strategy
-/// values). Returns false on anything else, leaving \p Out untouched.
-bool parseRaceAlgorithm(const std::string &Name, RaceAlgorithm &Out);
-
 struct RaceDetectionResult {
   std::vector<Race> Races;
   /// Candidate combinations whose ordering was actually tested — the cost
-  /// driver §7 worries about. Per-algorithm semantics (see file comment).
+  /// driver §7 worries about. Per-detector semantics (see file comment).
   uint64_t PairsExamined = 0;
-  /// Vectorized only: wall time spent building the happens-before
-  /// closure rows (the E5 "closure build" column).
+  /// detect() only: wall time spent building the happens-before closure
+  /// rows (the E5 "closure build" column).
   uint64_t ClosureBuildNs = 0;
 
   bool raceFree() const { return Races.empty(); } // Def 6.4
 };
 
-class ThreadPool;
-
 class RaceDetector {
 public:
   RaceDetector(const ParallelDynamicGraph &Graph, const SymbolTable &Symbols);
 
-  /// Runs one detection pass. \p Pool is only consulted by Vectorized:
-  /// with workers, the per-variable sweep is sharded across them (the
-  /// merge is deterministic — results are byte-identical at any worker
-  /// count); null or worker-less pools run the sweep on the calling
-  /// thread. Not safe to call concurrently on one detector instance: the
-  /// legacy algorithms classify pairs through member scratch sets (which
-  /// is what keeps them allocation-free per pair).
-  RaceDetectionResult detect(RaceAlgorithm Algorithm,
-                             ThreadPool *Pool = nullptr) const;
+  /// Runs one detection pass on the calling thread.
+  RaceDetectionResult detect() const;
+
+  /// The specification oracle: every cross-process pair, ordered through
+  /// the graph and classified per Def 6.3. Not safe to call concurrently
+  /// on one detector instance: it classifies pairs through member scratch
+  /// sets (which is what keeps it allocation-free per pair).
+  RaceDetectionResult detectAllPairs() const;
 
   /// Human-readable description naming the variable and both edges.
   std::string describe(const Race &R, const Program &P) const;
@@ -113,7 +94,6 @@ private:
   void classifyPair(EdgeRef A, EdgeRef B, std::vector<Race> &Out) const;
   Race makeRace(EdgeRef A, EdgeRef B, uint32_t SharedIdx,
                 RaceKind Kind) const;
-  RaceDetectionResult detectVectorized(ThreadPool *Pool) const;
   static void canonicalize(RaceDetectionResult &Result);
 
   const ParallelDynamicGraph &Graph;

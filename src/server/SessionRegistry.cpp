@@ -158,7 +158,6 @@ ReplayServiceStats SessionRegistry::aggregateReplayStats() const {
         KV.second->Controller->replayService().stats();
     Out.EngineReplays += S.EngineReplays;
     Out.EngineInstructions += S.EngineInstructions;
-    Out.PrefetchesIssued += S.PrefetchesIssued;
   }
   // JIT counters live on the per-program shared JitProgram (sessions all
   // point at the same one), so summing program entries — not sessions —

@@ -508,29 +508,20 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
       return Fail("log/" + ErrOracle, Err);
   }
 
-  //===--- race/*: two algorithms and an independent recheck -------------===//
+  //===--- race/*: the detector, its oracle and an independent recheck ---===//
   const unsigned NumShared = Prog->Symbols->NumSharedVars;
   ParallelDynamicGraph PDG(L, NumShared);
   RaceDetector Detector(PDG, *Prog->Symbols);
-  RaceDetectionResult Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
-  RaceDetectionResult Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
-  RaceDetectionResult Vec = Detector.detect(RaceAlgorithm::Vectorized);
-  if (Naive.Races.size() != Indexed.Races.size())
-    return Fail("race/algorithms",
-                "NaiveAllPairs found " + std::to_string(Naive.Races.size()) +
-                    ", VarIndexed " + std::to_string(Indexed.Races.size()));
+  RaceDetectionResult Naive = Detector.detectAllPairs();
+  RaceDetectionResult Vec = Detector.detect();
   if (Naive.Races.size() != Vec.Races.size())
     return Fail("race/algorithms",
-                "NaiveAllPairs found " + std::to_string(Naive.Races.size()) +
-                    ", Vectorized " + std::to_string(Vec.Races.size()));
-  for (size_t I = 0; I != Naive.Races.size(); ++I) {
-    if (!(Naive.Races[I] == Indexed.Races[I]))
-      return Fail("race/algorithms",
-                  "race " + std::to_string(I) + " differs between algorithms");
+                "all-pairs found " + std::to_string(Naive.Races.size()) +
+                    ", detect() " + std::to_string(Vec.Races.size()));
+  for (size_t I = 0; I != Naive.Races.size(); ++I)
     if (!(Naive.Races[I] == Vec.Races[I]))
-      return Fail("race/algorithms", "race " + std::to_string(I) +
-                                         " differs from the vectorized tier");
-  }
+      return Fail("race/algorithms",
+                  "race " + std::to_string(I) + " differs from all-pairs");
   {
     std::vector<RaceTuple> Rechecked, Detected;
     std::string Err;

@@ -26,7 +26,7 @@
 ///   log/*       save → load → re-save: loaded records equal
 ///               the originals field-by-field, re-saved bytes equal the
 ///               first save byte-for-byte, interval index identical.
-///   race/*      NaiveAllPairs vs VarIndexed vs Vectorized, and all three
+///   race/*      the all-pairs specification oracle vs detect(), and both
 ///               vs an independent BFS-reachability recheck built here
 ///               from the raw log.
 ///   replay/*    per interval, the JIT tier (hot from the first replay)

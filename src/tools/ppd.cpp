@@ -62,7 +62,6 @@ struct CliOptions {
   std::vector<std::vector<int64_t>> Inputs;
   std::string LogPath;
   std::string Mode = "logging";
-  std::string Algorithm = "vectorized";
   bool DumpDisassembly = false;
   bool DumpPdg = false;
   bool DumpSimplified = false;
@@ -71,7 +70,6 @@ struct CliOptions {
   bool LoopBlocks = false;
   std::vector<uint32_t> BreakLines;
   unsigned ReplayThreads = 0;
-  bool Prefetch = false;
 
   // paged log tier (debug/serve)
   size_t PoolBudget = 0; ///< 0 = PPD_POOL_BUDGET env, else 256 MiB.
@@ -151,15 +149,10 @@ options:
                         process sections page in on demand through the
                         buffer pool
   --mode M              (run) plain | logging | fulltrace
-  --race-strategy A     (races) vectorized (default) | indexed | naive;
-                        all three report identical races (--algorithm is
-                        a synonym)
   --leaf-inheritance    partitioner: unlog small call-graph leaves
   --loop-blocks         partitioner: loops become their own e-blocks
   --replay-threads N    (debug) worker threads for parallel replay
                         (default 0 = serial)
-  --prefetch            (debug) warm neighboring intervals in the
-                        background after each query
   --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for paged
                         logs (default 256m; the PPD_POOL_BUDGET env var
                         overrides the default, the flag overrides both)
@@ -450,12 +443,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       if (!V)
         return false;
       Opts.Mode = V;
-    } else if (Arg == "--race-strategy" || Arg == "--algorithm") {
-      // --algorithm is the historical spelling, kept as a synonym.
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.Algorithm = V;
     } else if (Arg == "--dump-ir") {
       Opts.DumpDisassembly = true;
     } else if (Arg == "--dump-pdg") {
@@ -478,8 +465,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       if (!V)
         return false;
       Opts.ReplayThreads = unsigned(std::strtoul(V, nullptr, 10));
-    } else if (Arg == "--prefetch") {
-      Opts.Prefetch = true;
     } else if (Arg == "--runs") {
       const char *V = Next();
       if (!V)
@@ -759,14 +744,7 @@ int cmdRaces(const CliOptions &Opts) {
   reportRun(*Prog, M, Result);
 
   PpdController Controller(*Prog, M.takeLog());
-  RaceAlgorithm Algorithm = RaceAlgorithm::Vectorized;
-  if (!parseRaceAlgorithm(Opts.Algorithm, Algorithm)) {
-    std::fprintf(stderr, "error: unknown race strategy '%s' (expected "
-                         "naive, indexed, or vectorized)\n",
-                 Opts.Algorithm.c_str());
-    return 64;
-  }
-  auto Races = Controller.detectRaces(Algorithm);
+  auto Races = Controller.detectRaces();
   if (Races.raceFree()) {
     std::printf("-- execution instance is race-free (Def 6.4); %llu edge "
                 "pair(s) examined\n",
@@ -793,7 +771,6 @@ int cmdDebug(const CliOptions &Opts) {
 
   PpdControllerOptions COpts;
   COpts.Service.Threads = Opts.ReplayThreads;
-  COpts.Service.Prefetch = Opts.Prefetch;
 
   // A --log file opens paged: mmap the store, adopt (or rebuild) the
   // .ppdb sidecar, and let queries fault sections in through the pool.

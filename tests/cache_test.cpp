@@ -2,8 +2,8 @@
 //
 // Part of PPD test suite: the sharded LRU trace cache (hit/miss/eviction
 // accounting, byte budgets), the work-stealing thread pool, and the
-// parallel replay service's memoization, single-flight dedup, transitive
-// interval sets, and prefetch plumbing.
+// parallel replay service's memoization, single-flight dedup, and
+// transitive interval sets.
 //
 //===----------------------------------------------------------------------===//
 
@@ -214,10 +214,9 @@ func main() {
 }
 )";
 
-ReplayServiceOptions serviceOptions(unsigned Threads, bool Prefetch = false) {
+ReplayServiceOptions serviceOptions(unsigned Threads) {
   ReplayServiceOptions Options;
   Options.Threads = Threads;
-  Options.Prefetch = Prefetch;
   return Options;
 }
 
@@ -322,36 +321,6 @@ TEST(ReplayServiceTest, TransitiveIntervalsCoverAncestrySiblingsChildren) {
       EXPECT_TRUE(Got.count(Other.Index))
           << "preceding sibling " << Other.Index;
     }
-}
-
-TEST(ReplayServiceTest, PrefetchWarmsParentAndPrecedingSibling) {
-  ServiceFixture F(serviceOptions(2, /*Prefetch=*/true));
-  const std::vector<LogInterval> &Intervals = F.Index->intervals(1);
-  const LogInterval *Nested = nullptr;
-  for (const LogInterval &Interval : Intervals)
-    if (Interval.Depth == 1 && Interval.Index > 1)
-      Nested = &Interval;
-  ASSERT_NE(Nested, nullptr);
-
-  F.Service->prefetchNeighbors(1, Nested->Index);
-  F.Service->drain();
-  ReplayServiceStats S = F.Service->stats();
-  EXPECT_EQ(S.PrefetchesIssued, 2u) << "parent + preceding sibling";
-  EXPECT_EQ(S.EngineReplays, 2u);
-  // The prefetched parent now answers from the cache.
-  F.Service->get(1, Nested->Parent);
-  EXPECT_EQ(F.Service->stats().EngineReplays, 2u);
-  EXPECT_GE(F.Service->stats().Cache.Hits, 1u);
-}
-
-TEST(ReplayServiceTest, PrefetchIsInertWithoutWorkersOrOptIn) {
-  ServiceFixture Serial(serviceOptions(0, /*Prefetch=*/true));
-  Serial.Service->prefetchNeighbors(1, 1);
-  EXPECT_EQ(Serial.Service->stats().PrefetchesIssued, 0u);
-
-  ServiceFixture NotAsked(serviceOptions(2));
-  NotAsked.Service->prefetchNeighbors(1, 1);
-  EXPECT_EQ(NotAsked.Service->stats().PrefetchesIssued, 0u);
 }
 
 TEST(ReplayServiceTest, ConcurrentGetsOfOneIntervalReplayOnce) {

@@ -11,7 +11,8 @@
 // written from the mutant. Each mutant must either be rejected at open
 // or answer `where 0`, `back`, `races` and a few more commands; a crash,
 // an abort or a sanitizer report fails the suite (it also runs under
-// ASan+UBSan).
+// ASan+UBSan). A clean log's sidecar gets the same single-bit sweep, and
+// there every flip must be rejected.
 //
 //===----------------------------------------------------------------------===//
 
@@ -164,6 +165,58 @@ TEST_F(LogMutationTest, EverySingleBitFlipIsRejectedOrAnswered) {
   EXPECT_GT(Runner.WholeOpens, 0u);
   EXPECT_GT(Runner.PagedOpens, 0u);
   EXPECT_GT(Runner.SidecarOpens, 0u);
+}
+
+// The `.ppdb` sidecar of a clean log is untrusted input too: a flipped
+// bit in its persisted index or graph decodes cleanly (ids stay in range,
+// a READ/WRITE set just gains or loses a variable) and would change the
+// debugger's answers, the race verdict included. Every single-bit flip
+// must therefore read as not Ok, so the debugger rebuilds the sidecar.
+TEST_F(LogMutationTest, EverySidecarBitFlipIsRejected) {
+  std::string LogPath = tempPath("sidecar.log");
+  std::string DbPath = programDbPathFor(LogPath);
+  std::string MutantPath = tempPath("sidecar_mutant.ppdb");
+  {
+    std::ofstream Out(LogPath, std::ios::binary | std::ios::trunc);
+    Out.write(reinterpret_cast<const char *>(Original.data()),
+              std::streamsize(Original.size()));
+    ASSERT_TRUE(Out.good());
+  }
+  std::shared_ptr<const PageStore> Store = PageStore::open(LogPath);
+  ASSERT_TRUE(Store != nullptr);
+  ASSERT_TRUE(writeProgramDb(DbPath, *Run.Prog, *Store, LogIndex(*Store)));
+  std::vector<uint8_t> Clean;
+  ASSERT_TRUE(readFileBytes(DbPath, Clean));
+  {
+    std::shared_ptr<const LogIndex> Index;
+    ASSERT_EQ(int(readProgramDb(DbPath, *Run.Prog, *Store, Index)),
+              int(ProgramDbStatus::Ok));
+  }
+
+  unsigned Accepted = 0;
+  for (size_t Bit = 0; Bit != 8 * Clean.size(); ++Bit) {
+    std::vector<uint8_t> Mutant = Clean;
+    Mutant[Bit / 8] ^= uint8_t(1u << (Bit % 8));
+    {
+      std::ofstream Out(MutantPath, std::ios::binary | std::ios::trunc);
+      Out.write(reinterpret_cast<const char *>(Mutant.data()),
+                std::streamsize(Mutant.size()));
+      ASSERT_TRUE(Out.good());
+    }
+    std::shared_ptr<const LogIndex> Index;
+    std::shared_ptr<const ParallelDynamicGraph> Graph;
+    ProgramDbStatus Status =
+        readProgramDb(MutantPath, *Run.Prog, *Store, Index, &Graph);
+    if (Status == ProgramDbStatus::Ok)
+      ++Accepted;
+    EXPECT_NE(int(Status), int(ProgramDbStatus::Ok)) << "bit " << Bit;
+    EXPECT_TRUE(Index == nullptr && Graph == nullptr) << "bit " << Bit;
+  }
+  EXPECT_EQ(Accepted, 0u) << "of " << 8 * Clean.size() << " flips";
+
+  std::remove(LogPath.c_str());
+  std::remove(DbPath.c_str());
+  std::remove(MutantPath.c_str());
 }
 
 TEST_F(LogMutationTest, SeededByteOverwritesAreRejectedOrAnswered) {

@@ -218,7 +218,7 @@ TEST(RaceTest, UnsynchronizedWritesDetected) {
   auto R = runProgram(RacyProgram);
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+  auto Result = Detector.detectAllPairs();
   EXPECT_FALSE(Result.raceFree());
   bool SawWriteWrite = false;
   for (const Race &Race : Result.Races) {
@@ -235,7 +235,7 @@ TEST(RaceTest, MutexedProgramRaceFree) {
     auto R = runProgram(SynchronizedProgram, Seed);
     auto G = graphOf(R);
     RaceDetector Detector(G, *R.Prog->Symbols);
-    EXPECT_TRUE(Detector.detect(RaceAlgorithm::NaiveAllPairs).raceFree())
+    EXPECT_TRUE(Detector.detectAllPairs().raceFree())
         << "seed " << Seed;
   }
 }
@@ -255,7 +255,7 @@ func main() {
 )");
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::VarIndexed);
+  auto Result = Detector.detect();
   ASSERT_FALSE(Result.raceFree());
   EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::ReadWrite));
 }
@@ -283,7 +283,7 @@ func main() {
     ASSERT_EQ(int(R.Result.Outcome), int(RunResult::Status::Failed));
     auto G = graphOf(R);
     RaceDetector Detector(G, *R.Prog->Symbols);
-    auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+    auto Result = Detector.detectAllPairs();
     ASSERT_FALSE(Result.raceFree()) << "seed " << Seed;
     EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::WriteWrite))
         << "seed " << Seed;
@@ -308,7 +308,7 @@ func main() {
   EXPECT_EQ(R.PrintedValues, (std::vector<int64_t>{42}));
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  EXPECT_TRUE(Detector.detect(RaceAlgorithm::NaiveAllPairs).raceFree());
+  EXPECT_TRUE(Detector.detectAllPairs().raceFree());
 }
 
 TEST(RaceTest, AlgorithmsAgreeAndIndexExaminesFewerPairs) {
@@ -317,8 +317,9 @@ TEST(RaceTest, AlgorithmsAgreeAndIndexExaminesFewerPairs) {
       auto R = runProgram(Source, Seed);
       auto G = graphOf(R);
       RaceDetector Detector(G, *R.Prog->Symbols);
-      auto Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
-      auto Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
+      // detect() prunes through its inverted variable index.
+      auto Naive = Detector.detectAllPairs();
+      auto Indexed = Detector.detect();
       EXPECT_EQ(Naive.Races.size(), Indexed.Races.size());
       for (size_t I = 0; I != Naive.Races.size(); ++I)
         EXPECT_TRUE(Naive.Races[I] == Indexed.Races[I]);
@@ -336,12 +337,12 @@ TEST_P(RaceSweepTest, GroundTruthStableAcrossSchedules) {
   auto Racy = runProgram(RacyProgram, GetParam());
   auto RacyGraph = graphOf(Racy);
   RaceDetector RacyDetector(RacyGraph, *Racy.Prog->Symbols);
-  EXPECT_FALSE(RacyDetector.detect(RaceAlgorithm::VarIndexed).raceFree());
+  EXPECT_FALSE(RacyDetector.detect().raceFree());
 
   auto Safe = runProgram(SynchronizedProgram, GetParam());
   auto SafeGraph = graphOf(Safe);
   RaceDetector SafeDetector(SafeGraph, *Safe.Prog->Symbols);
-  EXPECT_TRUE(SafeDetector.detect(RaceAlgorithm::VarIndexed).raceFree());
+  EXPECT_TRUE(SafeDetector.detect().raceFree());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RaceSweepTest,
@@ -381,7 +382,7 @@ func main() {
 )");
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::VarIndexed);
+  auto Result = Detector.detect();
   ASSERT_FALSE(Result.raceFree());
   std::string Summary = Detector.summarize(Result, *R.Prog->Ast);
   // Many races, few summary lines, each with an occurrence count.
@@ -398,7 +399,7 @@ TEST(RaceTest, SummaryOfCleanInstance) {
   auto R = runProgram("func main() { print(1); }");
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+  auto Result = Detector.detectAllPairs();
   EXPECT_NE(Detector.summarize(Result, *R.Prog->Ast).find("race-free"),
             std::string::npos);
 }

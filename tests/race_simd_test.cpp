@@ -2,15 +2,14 @@
 //
 // Part of PPD test suite.
 //
-// The vectorized race-detection tier (SIMD set kernels + batched
-// happens-before closure + sharded sweep) must produce byte-identical race
-// lists to NaiveAllPairs and VarIndexed on every input: the examples/
-// corpus, a fuzz sweep of generated programs, every SIMD dispatch level
-// the host can run (including the forced portable fallback), any worker
-// count, and the rowless closure fallback for oversized traces. This suite
-// asserts all of that, plus the closure's simultaneity answers against the
-// vector-clock oracle and the SIMD kernels against their portable
-// reference.
+// RaceDetector::detect() (SIMD set kernels + batched happens-before
+// closure) must produce byte-identical race lists to the all-pairs
+// specification oracle on every input: the examples/ corpus, a fuzz sweep
+// of generated programs, every SIMD dispatch level the host can run
+// (including the forced portable fallback), and the rowless closure
+// fallback for oversized traces. This suite asserts all of that, plus the
+// closure's simultaneity answers against the vector-clock oracle and the
+// SIMD kernels against their portable reference.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,15 +19,16 @@
 #include "pardyn/ParallelDynamicGraph.h"
 #include "pardyn/RaceDetector.h"
 #include "support/Simd.h"
-#include "support/ThreadPool.h"
 #include "testing/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace ppd;
@@ -61,32 +61,22 @@ std::string describeRace(const Race &R) {
   return Out.str();
 }
 
-/// All three algorithms over one execution instance must agree
-/// element-for-element; returns the (canonical) race list.
+/// detect() and the all-pairs oracle over one execution instance must
+/// agree element-for-element; returns the (canonical) race list.
 std::vector<Race> expectAgreement(const ExecutionLog &Log,
                                   const SymbolTable &Symbols,
-                                  const std::string &Label,
-                                  ThreadPool *Pool = nullptr) {
+                                  const std::string &Label) {
   ParallelDynamicGraph Graph(Log, Symbols.NumSharedVars);
   RaceDetector Detector(Graph, Symbols);
-  RaceDetectionResult Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
-  RaceDetectionResult Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
-  RaceDetectionResult Vec =
-      Detector.detect(RaceAlgorithm::Vectorized, Pool);
-  EXPECT_EQ(Naive.Races.size(), Indexed.Races.size()) << Label;
+  RaceDetectionResult Naive = Detector.detectAllPairs();
+  RaceDetectionResult Vec = Detector.detect();
   EXPECT_EQ(Naive.Races.size(), Vec.Races.size()) << Label;
-  size_t N = std::min(Naive.Races.size(),
-                      std::min(Indexed.Races.size(), Vec.Races.size()));
-  for (size_t I = 0; I != N; ++I) {
-    EXPECT_TRUE(Naive.Races[I] == Indexed.Races[I])
-        << Label << " race " << I << ": naive "
-        << describeRace(Naive.Races[I]) << " vs indexed "
-        << describeRace(Indexed.Races[I]);
+  size_t N = std::min(Naive.Races.size(), Vec.Races.size());
+  for (size_t I = 0; I != N; ++I)
     EXPECT_TRUE(Naive.Races[I] == Vec.Races[I])
-        << Label << " race " << I << ": naive "
-        << describeRace(Naive.Races[I]) << " vs vectorized "
+        << Label << " race " << I << ": all-pairs "
+        << describeRace(Naive.Races[I]) << " vs detect "
         << describeRace(Vec.Races[I]);
-  }
   return Naive.Races;
 }
 
@@ -257,36 +247,6 @@ TEST(RaceSimdDifferentialTest, PortableFallbackAgrees) {
   }
 }
 
-TEST(RaceSimdDifferentialTest, ParallelSweepIsDeterministic) {
-  // The sharded sweep must merge deterministically: byte-identical output
-  // at any worker count, asserted against the serial run and both legacy
-  // algorithms.
-  ThreadPool Pool(3);
-  for (uint64_t Seed : {2u, 5u, 8u, 12u}) {
-    GenProgram Gen = generateProgram(Seed);
-    MachineOptions MOpts;
-    MOpts.Quantum = Gen.Quantum;
-    Ran R = runProgram(Gen.render(), Gen.SchedSeed, MOpts, {},
-                       /*ExpectCompleted=*/false);
-    ASSERT_TRUE(R.Prog) << "seed " << Seed;
-    std::string Label = "pooled gen seed " + std::to_string(Seed);
-    expectAgreement(R.Log, *R.Prog->Symbols, Label, &Pool);
-
-    ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
-    RaceDetector Detector(Graph, *R.Prog->Symbols);
-    RaceDetectionResult Serial = Detector.detect(RaceAlgorithm::Vectorized);
-    RaceDetectionResult Pooled =
-        Detector.detect(RaceAlgorithm::Vectorized, &Pool);
-    ASSERT_EQ(Serial.Races.size(), Pooled.Races.size()) << Label;
-    for (size_t I = 0; I != Serial.Races.size(); ++I)
-      EXPECT_TRUE(Serial.Races[I] == Pooled.Races[I])
-          << Label << " race " << I;
-    // The cost counter is schedule-independent too: both runs enumerate
-    // the same candidate combinations.
-    EXPECT_EQ(Serial.PairsExamined, Pooled.PairsExamined) << Label;
-  }
-}
-
 TEST(RaceSimdDifferentialTest, RepeatedDetectIsIdempotent) {
   // The detector reuses member scratch between calls; repeated detection
   // on one instance must not be contaminated by earlier passes.
@@ -295,30 +255,93 @@ TEST(RaceSimdDifferentialTest, RepeatedDetectIsIdempotent) {
   ASSERT_TRUE(R.Prog);
   ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
   RaceDetector Detector(Graph, *R.Prog->Symbols);
-  RaceDetectionResult First = Detector.detect(RaceAlgorithm::Vectorized);
-  for (RaceAlgorithm A : {RaceAlgorithm::NaiveAllPairs,
-                          RaceAlgorithm::VarIndexed,
-                          RaceAlgorithm::Vectorized}) {
-    RaceDetectionResult Again = Detector.detect(A);
-    ASSERT_EQ(First.Races.size(), Again.Races.size())
-        << raceAlgorithmName(A);
+  RaceDetectionResult First = Detector.detect();
+  for (bool AllPairs : {true, false, true, false}) {
+    RaceDetectionResult Again =
+        AllPairs ? Detector.detectAllPairs() : Detector.detect();
+    const char *Name = AllPairs ? "all-pairs" : "detect";
+    ASSERT_EQ(First.Races.size(), Again.Races.size()) << Name;
     for (size_t I = 0; I != First.Races.size(); ++I)
-      EXPECT_TRUE(First.Races[I] == Again.Races[I])
-          << raceAlgorithmName(A) << " race " << I;
+      EXPECT_TRUE(First.Races[I] == Again.Races[I]) << Name << " race " << I;
   }
 }
 
-TEST(RaceSimdDifferentialTest, AlgorithmNamesRoundTrip) {
-  RaceAlgorithm A = RaceAlgorithm::NaiveAllPairs;
-  EXPECT_TRUE(parseRaceAlgorithm("naive", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::NaiveAllPairs));
-  EXPECT_TRUE(parseRaceAlgorithm("indexed", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::VarIndexed));
-  EXPECT_TRUE(parseRaceAlgorithm("vectorized", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::Vectorized));
-  EXPECT_FALSE(parseRaceAlgorithm("avx512", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::Vectorized)) << "Out must be untouched";
-  EXPECT_STREQ(raceAlgorithmName(RaceAlgorithm::Vectorized), "vectorized");
+TEST(RaceSimdDifferentialTest, RowlessSweepMatchesPairwiseOracle) {
+  // Two workers each run 15k P/V rounds, so the graph has more than
+  // 46,341 internal edges and its E² closure bits exceed the 256 MiB row
+  // cap: detect() has to take the row-less sweep. Every 1000th round
+  // writes the shared counter outside the critical section. Each worker
+  // locks its own semaphore, so nothing orders one worker's writes
+  // against the other's and all of them race; with one shared semaphore
+  // the token passing would order every pair but those within a round of
+  // each other, and whether any race showed would depend on the schedule.
+  const std::string Source = R"(
+shared int g;
+sem s1 = 1;
+sem s2 = 1;
+sem done;
+func worker(int id) {
+  int i = 0;
+  for (i = 0; i < 15000; i = i + 1) {
+    if (id == 1) { P(s1); V(s1); } else { P(s2); V(s2); }
+    if (i % 1000 == 0) g = g + id;
+  }
+  V(done);
+}
+func main() {
+  spawn worker(1);
+  spawn worker(2);
+  P(done);
+  P(done);
+  print(g);
+}
+)";
+  Ran R = runProgram(Source, 3);
+  ASSERT_TRUE(R.Prog);
+  ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
+  ASSERT_FALSE(EdgeClosure(Graph).hasRows())
+      << "the trace fits the row cap; the row-less sweep is not reached";
+
+  // All-pairs over every edge would be ~2·10⁹ pairs; only the edges that
+  // touch a shared variable can race, so the oracle pairs just those,
+  // ordering them with the graph's own simultaneity test (Def 6.1) and
+  // classifying them per Def 6.3.
+  using Key = std::tuple<uint32_t, uint32_t, uint32_t, uint32_t, uint32_t,
+                         uint8_t>;
+  std::vector<EdgeRef> Touching;
+  for (EdgeRef E : Graph.allEdges())
+    if (!Graph.edge(E).Reads.empty() || !Graph.edge(E).Writes.empty())
+      Touching.push_back(E);
+  std::vector<Key> Expected;
+  for (size_t I = 0; I != Touching.size(); ++I)
+    for (size_t J = I + 1; J != Touching.size(); ++J) {
+      EdgeRef A = Touching[I], B = Touching[J];
+      if (A.Pid == B.Pid || !Graph.simultaneous(A, B))
+        continue;
+      if (B.Pid < A.Pid)
+        std::swap(A, B);
+      const InternalEdge &EA = Graph.edge(A), &EB = Graph.edge(B);
+      for (unsigned S = 0; S != R.Prog->Symbols->NumSharedVars; ++S) {
+        bool AW = EA.Writes.contains(S), BW = EB.Writes.contains(S);
+        bool AR = EA.Reads.contains(S), BR = EB.Reads.contains(S);
+        if (AW && BW)
+          Expected.push_back({S, A.Pid, A.EndNode, B.Pid, B.EndNode,
+                              uint8_t(RaceKind::WriteWrite)});
+        else if ((AR && BW) || (AW && BR))
+          Expected.push_back({S, A.Pid, A.EndNode, B.Pid, B.EndNode,
+                              uint8_t(RaceKind::ReadWrite)});
+      }
+    }
+  std::sort(Expected.begin(), Expected.end());
+
+  RaceDetector Detector(Graph, *R.Prog->Symbols);
+  RaceDetectionResult Result = Detector.detect();
+  std::vector<Key> Got;
+  for (const Race &Rc : Result.Races)
+    Got.push_back({Rc.SharedIdx, Rc.First.Pid, Rc.First.EndNode,
+                   Rc.Second.Pid, Rc.Second.EndNode, uint8_t(Rc.Kind)});
+  EXPECT_FALSE(Expected.empty()) << "no race on g; the check is vacuous";
+  EXPECT_EQ(Got, Expected);
 }
 
 } // namespace
